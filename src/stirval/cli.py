@@ -330,6 +330,11 @@ _COMMANDS = {
 
 def dispatch(argv) -> int:
     """Parse argv, run one subcommand, and return the exit status."""
+    # Exact values pass Python's 4300-digit int<->str limit well inside
+    # the row cap. The limit stays lifted after return, because callers
+    # in the same process go on to format the values printed here.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,37 +6,26 @@ e_k <- e_k + (1/i) * e_{k-1}, folding in i = 1..n; every entry stays a
 reduced rational after each update. The bridge to the rest of the
 package is the identity n! * H(n,k) = s(n+1, k+1).
 
-Construction cost is dominated by gcd reductions on ever-larger
-rationals, so finished prefixes are cached: the recurrence state is
-kept around and extended in place when a larger n is requested, and
-every explicitly requested table is snapshotted. gmpy2's mpq is used
-internally when available (same algorithm, faster normalization); the
-public surface is always fractions.Fraction.
+The rational table is the independent oracle for that identity: it
+backs identity_residual, the CLI harmonic command and the tests. Its
+cost is dominated by gcd reductions on ever-larger rationals and grows
+about tenfold per doubling of n, so the harmonic upper bound
+(bound_margin) does not build it and reads integer rows instead.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .padic import Valuation, vp_rat
+from .padic import Valuation, factorial_valuation, vp_int, vp_rat
 from .stirling_core import stirling
-
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _rat = Fraction
 
 # Tables above this n are refused. Reassign to move the cap.
 TABLE_CAP = 2 ** 12
-
-_lock = threading.Lock()
-_frontier_n = 0
-_frontier: list = [_rat(1)]
-_snapshots: dict[int, tuple[Fraction, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -47,20 +36,21 @@ class HarmonicTable:
     values: tuple[Fraction, ...]
 
 
-def _fold(e: list, i: int) -> None:
-    # Extend the elementary symmetric state by the variable 1/i. The
-    # top entry is new; the rest update downward so each e[k-1] is
-    # still the previous row's value when e[k] reads it.
-    inv = _rat(1) / i
-    e.append(e[-1] * inv)
-    for k in range(len(e) - 2, 0, -1):
-        e[k] = e[k] + e[k - 1] * inv
+def _fold(e: list[Fraction], i: int) -> None:
+    # Fold the variable 1/i into the state e_0..e_{len(e)-1}. Entries
+    # update downward so each e[j-1] is still the previous value when
+    # e[j] reads it; entries above i are still zero and left alone.
+    inv = Fraction(1, i)
+    for j in range(min(i, len(e) - 1), 0, -1):
+        e[j] += e[j - 1] * inv
 
 
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(int(v.numerator), int(v.denominator))
+@lru_cache(maxsize=32)
+def _cached_values(n: int) -> tuple[Fraction, ...]:
+    e = [Fraction(1)] + [Fraction(0)] * n
+    for i in range(1, n + 1):
+        _fold(e, i)
+    return tuple(e)
 
 
 def harmonic_table(n: int) -> HarmonicTable:
@@ -80,25 +70,7 @@ def harmonic_table(n: int) -> HarmonicTable:
         raise DomainError(f"table size must be >= 1, got {n}")
     if n > TABLE_CAP:
         raise ResourceLimitError(f"table size {n} exceeds cap {TABLE_CAP}")
-    global _frontier_n
-    with _lock:
-        cached = _snapshots.get(n)
-        if cached is not None:
-            return HarmonicTable(n, cached)
-        if n >= _frontier_n:
-            e = _frontier
-            for i in range(_frontier_n + 1, n + 1):
-                _fold(e, i)
-            _frontier_n = n
-        else:
-            # A smaller n than the frontier and no snapshot: rebuild
-            # from scratch rather than storing every intermediate row.
-            e = [_rat(1)]
-            for i in range(1, n + 1):
-                _fold(e, i)
-        values = tuple(_to_fraction(v) for v in e)
-        _snapshots[n] = values
-    return HarmonicTable(n, values)
+    return HarmonicTable(n, _cached_values(n))
 
 
 def identity_residual(n: int, k: int) -> int:
@@ -116,12 +88,27 @@ def identity_residual(n: int, k: int) -> int:
 
 
 def bound_margin(n: int, k: int) -> Valuation:
-    """Return v2(H(2**n, k)) + n; the upper-bound claim says <= 0."""
+    """Return v2(H(2**n, k)) + n; the upper-bound claim says <= 0.
+
+    Read exactly from the integer row 2**n + 1, never from the rational
+    table. With N = 2**n, the identity N! * H(N,k) = s(N+1, k+1) and
+    additivity of valuations give v2(H(N,k)) = v2(s(N+1, k+1)) - v2(N!).
+    For 1 <= k <= N the Stirling number s(N+1, k+1) is positive, so its
+    valuation is finite. Legendre's formula gives v2(N!) = N - d2(N) =
+    2**n - 1 without forming N!. Nothing is truncated, so the result is
+    the one the rational table gives; identity_residual checks the
+    identity itself against that table.
+
+    Raises:
+        DomainError: If n < 1 or k is outside 1..2**n.
+        ResourceLimitError: If row 2**n + 1 exceeds the row cap.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if not 1 <= k <= 2 ** n:
         raise DomainError(f"need 1 <= k <= 2**{n}, got {k}")
-    return vp_rat(2, harmonic_table(2 ** n).values[k]) + n
+    top = 2 ** n
+    return vp_int(2, stirling(top + 1, k + 1)) - factorial_valuation(2, top) + n
 
 
 def conjecture_scan(p: int, k: int, n_max: int) -> list[tuple[int, Valuation, float]]:
@@ -138,12 +125,10 @@ def conjecture_scan(p: int, k: int, n_max: int) -> list[tuple[int, Valuation, fl
     if n_max > TABLE_CAP:
         raise ResourceLimitError(f"scan bound {n_max} exceeds cap {TABLE_CAP}")
     # Only e_0..e_k are tracked; the full table is never built.
-    e = [_rat(1)] + [_rat(0)] * k
+    e = [Fraction(1)] + [Fraction(0)] * k
     out = []
     for i in range(1, n_max + 1):
-        inv = _rat(1) / i
-        for j in range(min(i, k), 0, -1):
-            e[j] = e[j] + e[j - 1] * inv
+        _fold(e, i)
         if i >= k:
             v = vp_rat(p, e[k])
             ratio = 0.0 if i == 1 else -v / math.log(i)

@@ -145,13 +145,11 @@ def shifted_row_expand(m: int, n: int) -> ShiftedRow:
 
 
 @lru_cache(maxsize=32)
-def _cached_coeffs(engine: str, n: int, shift: int) -> tuple[int, ...]:
-    # Memoized row storage keyed by (engine, n, shift). lru_cache gives
+def _cached_coeffs(n: int, shift: int) -> tuple[int, ...]:
+    # Memoized product-tree rows keyed by (n, shift). lru_cache gives
     # the single-writer/concurrent-reader safety the accessors need.
     if shift:
         return shifted_row_expand(shift, n).coeffs
-    if engine == "recurrence":
-        return row_recurrence(n).coeffs
     return row_product_tree(n).coeffs
 
 
@@ -161,7 +159,7 @@ def stirling(n: int, k: int) -> int:
         raise DomainError(f"row index must be >= 0, got {n}")
     if k < 0 or k > n:
         return 0
-    return _cached_coeffs("product_tree", n, 0)[k]
+    return _cached_coeffs(n, 0)[k]
 
 
 def shifted_value_sum(m: int, n: int, k: int) -> int:
@@ -175,7 +173,7 @@ def shifted_value_sum(m: int, n: int, k: int) -> int:
     _check_row_args(n, m)
     if k > n:
         return 0
-    row = _cached_coeffs("product_tree", n, 0)
+    row = _cached_coeffs(n, 0)
     return sum(row[i] * math.comb(i, i - k) * m ** (i - k) for i in range(k, n + 1))
 
 
@@ -188,8 +186,8 @@ def convolution_rhs(m: int, n: int, k: int) -> int:
         raise DomainError(f"need 0 <= k <= m+n, got k={k}, m={m}, n={n}")
     _check_row_args(m)
     _check_row_args(n, m)
-    left = _cached_coeffs("product_tree", m, 0)
-    right = _cached_coeffs("product_tree", n, m) if m else _cached_coeffs("product_tree", n, 0)
+    left = _cached_coeffs(m, 0)
+    right = _cached_coeffs(n, m)
     lo = max(0, k - n)
     hi = min(k, m)
     return sum(left[i] * right[k - i] for i in range(lo, hi + 1))
@@ -206,7 +204,7 @@ def lemma21_rhs(n: int, k: int) -> int:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
     if (n + k) % 2 == 0:
         raise DomainError(f"n + k must be odd, got n={n}, k={k}")
-    row = _cached_coeffs("product_tree", n, 0)
+    row = _cached_coeffs(n, 0)
     total = 0
     for i in range(k + 1, n + 1):
         term = row[i] * math.comb(i - 1, i - k) * n ** (i - k)

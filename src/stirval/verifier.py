@@ -17,7 +17,9 @@ Available checks:
   lemma25       odd/even column pairing within a row
   identities    convolution, shifted-sum, half-sum, mod-m congruence
   inequalities  two-step lower bound, adjacent drop bound, row maximum
-                at column 1, harmonic upper bound
+                at column 1, harmonic upper bound (read from the integer
+                row 2**n + 1 via n! * H(n,k) = s(n+1,k+1), not from the
+                rational table)
 """
 
 from __future__ import annotations
@@ -236,7 +238,9 @@ def check_inequalities(n: int) -> CheckReport:
     Four families: v2(s(2**n,i+1)) >= v2(s(2**n,i-1)) - 2n + 4 for
     3 <= i <= 2**n - 1; v2(s(2**n,k+1)) > v2(s(2**n,k)) - n for
     1 <= k <= 2**n (the entry above the top is 0, valuation INFINITE);
-    v2(s(2**n,k)) <= v2(s(2**n,1)); and v2(H(2**n,k)) + n <= 0.
+    v2(s(2**n,k)) <= v2(s(2**n,1)); and v2(H(2**n,k)) + n <= 0, where
+    bound_margin reads v2(H(2**n,k)) from the integer row 2**n + 1
+    through (2**n)! * H(2**n,k) = s(2**n+1,k+1) and Legendre's formula.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -65,6 +66,13 @@ class TestShifted:
         code, out, _ = run(capsys, "shifted", "--m", "4", "--n", "4", "--k", "3")
         assert code == 0 and out.strip() == "22"
 
+    def test_value_beyond_str_digit_limit(self, capsys):
+        # s_m(250, 0) = m(m+1)...(m+249) has more than 4300 digits
+        m = 2**62
+        code, out, _ = run(capsys, "shifted", "--m", str(m), "--n", "250", "--k", "0")
+        assert code == 0
+        assert int(out) == math.prod(range(m, m + 250))
+
     def test_zero_shift_matches_row(self, capsys):
         code, out_s, _ = run(capsys, "shifted", "--m", "0", "--n", "5")
         code2, out_r, _ = run(capsys, "row", "--n", "5")
@@ -88,6 +96,10 @@ class TestValuation:
         code, out, _ = run(capsys, "valuation", "--p", "3", "--x", "0/7", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"p": 3, "x": "0/7", "valuation": "inf"}
+
+    def test_literal_beyond_str_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "valuation", "--p", "2", "--x", "1" + "0" * 4400)
+        assert code == 0 and out.strip() == "4400"
 
     def test_bad_literal(self, capsys):
         code, _, err = run(capsys, "valuation", "--p", "2", "--x", "abc")

@@ -114,8 +114,19 @@ class TestBoundMargin:
         assert bound_margin(1, 1) == 0
 
     def test_definition(self):
-        # margin = v2(H(2**n, k)) + n, nonpositive when the bound holds
-        assert bound_margin(2, 2) == vp_rat(2, harmonic_table(4).values[2]) + 2
+        # margin = v2(H(2**n, k)) + n, checked against the rational table
+        for n in range(1, 9):
+            values = harmonic_table(2**n).values
+            for k in range(1, 2**n + 1):
+                assert bound_margin(n, k) == vp_rat(2, values[k]) + n, (n, k)
+
+    def test_does_not_build_table(self, monkeypatch):
+        expected = [vp_rat(2, v) + 5 for v in harmonic_table(32).values[1:]]
+        monkeypatch.setattr(harmonic_mod, "TABLE_CAP", 16)
+        # the cap holds even for a table that is already cached
+        with pytest.raises(ResourceLimitError):
+            harmonic_table(32)
+        assert [bound_margin(5, k) for k in range(1, 33)] == expected
 
     def test_sweep_nonpositive(self):
         for n in range(1, 7):
