@@ -110,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _row_coeffs(n: int, shift: int, cache_dir: str | None, engine: str = "product_tree"):
-    # The cache stores verified tree expansions; an explicit recurrence
-    # request always computes fresh.
+    # The cache stores product-tree expansions as built, not checked
+    # against the recurrence; its checksum only guards the file. An
+    # explicit recurrence request always computes fresh.
     usable = cache_dir and engine == "product_tree"
     if usable:
         entry = cache_load(n, shift, cache_dir)

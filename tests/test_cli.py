@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stirval
 import stirval.formulas as formulas_mod
 from stirval.cli import dispatch
 
@@ -189,6 +194,24 @@ class TestVerifyCommand:
         assert rows[0] == ["check_id", "n", "instance", "expected", "actual", "passed"]
         assert len(rows) == 3  # two interior columns fail
         assert all(r[0] == "theorem1" and r[5] == "False" for r in rows[1:])
+
+    def test_same_report_under_optimize_flag(self):
+        # `assert` vanishes under -O; a check that relies on it would
+        # change the report, so run the CLI both ways and compare.
+        src = str(Path(stirval.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        argv = ["-m", "stirval.cli", "verify", "--suite", "all", "--n-min", "2", "--n-max", "5", "--format", "json"]
+        reports = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, *argv], capture_output=True, text=True, env=env, check=True
+            )
+            report = json.loads(proc.stdout)
+            del report["elapsed_ms"]
+            reports.append(report)
+        assert reports[0]["total"] > 0
+        assert reports[0] == reports[1]
 
     def test_bad_suite_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")

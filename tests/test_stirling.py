@@ -1,9 +1,10 @@
 """Row generation engines, shifted rows, and cross-check identities."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stirval.stirling_core as stirling_mod
@@ -70,6 +71,66 @@ class TestEngines:
         assert sum(row) == math.factorial(n)
         # alternating evaluation is the falling factorial at 1: zero for n >= 2
         assert sum(c * (-1) ** k for k, c in enumerate(row)) == 0
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Coefficients that fill a decimal or binary slot to its last digit.
+_slot_filling = st.integers(min_value=1, max_value=400).flatmap(
+    lambda j: st.sampled_from([10**j - 1, 2**j - 1])
+)
+_coeff = st.one_of(st.just(0), st.integers(min_value=0, max_value=2**80), _slot_filling)
+_long = stirling_mod._SCHOOLBOOK_LEN + 1
+_poly = st.one_of(
+    st.lists(_coeff, min_size=_long, max_size=48),
+    st.integers(min_value=_long, max_value=48).map(lambda k: [0] * k),
+)
+
+
+class TestDecimalMultiply:
+    """The libmpdec route of _poly_mul, forced on whatever the backend."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_poly, _poly)
+    @example([0] * _long, [0] * _long)
+    @example([10**50 - 1] * _long, [10**50 - 1] * (_long + 3))
+    @example([2**128 - 1] * (_long + 5), [0, 2**128 - 1] * _long)
+    @example([2**64 - 1] * 15, [2**64 - 1] * 15)  # a product coefficient near 2**slot_bits
+    @example([10**6 - 1, 0] * _long, [1] + [0] * _long)
+    def test_matches_convolution(self, a, b):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stirling_mod, "_mpz", int)
+            mp.setattr(stirling_mod, "_DECIMAL_BITS", 0)
+            assert stirling_mod._poly_mul(a, b) == _convolve(a, b)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_rows_under_lowest_str_digit_limit(self, monkeypatch):
+        # Row 600 has coefficients of about 4700 bits (1400 digits),
+        # well past a 640-digit limit, so packing or unpacking through a
+        # plain str(int)/int(str) would raise here.
+        monkeypatch.setattr(stirling_mod, "_mpz", int)
+        sizes = []
+        real = stirling_mod._decimal_kronecker
+        monkeypatch.setattr(
+            stirling_mod,
+            "_decimal_kronecker",
+            lambda a, b, slot_bits: sizes.append(slot_bits * (len(a) + len(b))) or real(a, b, slot_bits),
+        )
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            tree = row_product_tree(600).coeffs
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert max(sizes) > 600 * 4000
+        assert max(tree).bit_length() > 4000
+        assert tree == row_recurrence(600).coeffs
 
 
 class TestStirlingAccessor:
