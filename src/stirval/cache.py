@@ -3,21 +3,24 @@
 One file per (shift, n) pair, named row_s<shift>_n<n>.stirval. The
 format is line-oriented and human-inspectable:
 
-    STIRVAL 1 <n> <shift> <checksum>
+    STIRVAL 2 <n> <shift> <checksum>
     0:<hex>
     1:<hex>
     ...
 
 Coefficients are lowercase hex without prefix, most significant digit
-first. The checksum is 64-bit FNV-1a over the payload bytes (all the
-coefficient lines). Writes go through a temp file plus rename so a
-crash never leaves a half-written row; any file that fails the
-checksum or does not parse is reported as a warning and treated as
-absent, never returned as data.
+first. The checksum is a 64-bit BLAKE2b digest of the payload bytes
+(all the coefficient lines), written as 16 hex digits. Writes go
+through a temp file plus rename so a crash never leaves a half-written
+row; any file that fails the checksum or does not parse is reported as
+a warning and treated as absent, never returned as data. Files of
+format version 1 (FNV-1a checksum) fail the version check and are
+discarded and rebuilt the same way.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import warnings
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MAGIC = "STIRVAL"
-_VERSION = "1"
+_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,15 @@ class CacheEntry:
 
     @classmethod
     def for_row(cls, n: int, shift: int, coeffs: tuple[int, ...]) -> "CacheEntry":
-        return cls(n, shift, fnv1a64(_payload(coeffs)), coeffs)
+        return cls(n, shift, blake2b64(_payload(coeffs)), coeffs)
 
 
+def blake2b64(data: bytes) -> int:
+    """64-bit BLAKE2b digest of a byte string, read as a big-endian int."""
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+# Off the load/store path; kept because the benchmark tracer wraps it by name.
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a hash of a byte string."""
     h = _FNV_OFFSET
@@ -62,7 +71,7 @@ def entry_path(n: int, shift: int, directory: str) -> str:
 def cache_store(entry: CacheEntry, directory: str) -> None:
     """Atomically write one row file; overwrites any existing entry."""
     payload = _payload(entry.coeffs)
-    checksum = fnv1a64(payload)
+    checksum = blake2b64(payload)
     if checksum != entry.checksum:
         raise ValueError("entry checksum does not match its coefficients")
     header = f"{_MAGIC} {_VERSION} {entry.n} {entry.shift} {checksum:016x}\n"
@@ -104,7 +113,7 @@ def _parse(raw: bytes, n: int, shift: int) -> CacheEntry | None:
         file_n, file_shift, checksum = int(fields[2]), int(fields[3]), int(fields[4], 16)
     except ValueError:
         return None
-    if file_n != n or file_shift != shift or fnv1a64(body) != checksum:
+    if file_n != n or file_shift != shift or blake2b64(body) != checksum:
         return None
     try:
         text = body.decode("ascii")

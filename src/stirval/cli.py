@@ -169,7 +169,7 @@ def _cmd_value(args, cache_dir) -> int:
 def _cmd_shifted(args, cache_dir) -> int:
     if args.m < 0:
         raise DomainError(f"shift must be >= 0, got {args.m}")
-    coeffs = _row_coeffs(args.n, args.m, cache_dir) if args.m else _row_coeffs(args.n, 0, cache_dir)
+    coeffs = _row_coeffs(args.n, args.m, cache_dir)
     if args.k is not None:
         if not 0 <= args.k <= args.n:
             raise DomainError(f"need 0 <= k <= n, got k={args.k}")
@@ -271,6 +271,7 @@ def _report_json(report: CheckReport) -> dict:
         "suite": report.suite,
         "range": list(report.range),
         "total": report.total,
+        "failures_total": report.failures_total,
         "failures": [
             {
                 "check_id": r.check_id,
@@ -300,7 +301,7 @@ def _emit_report(report: CheckReport, fmt: str) -> None:
         status = "PASS" if not report.failures else "FAIL"
         print(
             f"{status} suite={report.suite} range={report.range} total={report.total} "
-            f"failures={len(report.failures)} elapsed_ms={int(report.elapsed * 1000)} "
+            f"failures={report.failures_total} elapsed_ms={int(report.elapsed * 1000)} "
             f"engine={report.ground_truth_engine}"
         )
         for r in report.failures:

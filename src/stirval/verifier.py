@@ -5,9 +5,10 @@ derive the claimed quantity, compare. Ground-truth rows are always
 computed by BOTH engines (recurrence and product tree) and must agree
 coefficientwise before any claim is evaluated; shifted rows are
 likewise expanded twice, once balanced and once sequentially. A report
-carries the total number of instances checked and the failing ones
-(capped), never just the first failure, because diagnosing a
-systematic off-by-one needs the full pattern.
+carries the total number of instances checked, the true number that
+failed, and a sample of the failing ones (capped), never just the
+first failure, because diagnosing a systematic off-by-one needs the
+full pattern.
 
 Available checks:
 
@@ -77,6 +78,7 @@ class CheckReport:
     suite: str
     range: tuple
     total: int
+    failures_total: int
     failures: list[CheckResult]
     elapsed: float
     ground_truth_engine: str = GROUND_TRUTH_ENGINE
@@ -85,16 +87,20 @@ class CheckReport:
 @dataclass
 class _Collector:
     total: int = 0
+    failed: int = 0
     failures: list[CheckResult] = field(default_factory=list)
 
     def add(self, check_id: str, instance: tuple, expected, actual, passed: bool) -> None:
         self.total += 1
-        if not passed and len(self.failures) < FAILURE_CAP:
+        if passed:
+            return
+        self.failed += 1
+        if len(self.failures) < FAILURE_CAP:
             self.failures.append(CheckResult(check_id, instance, expected, actual, passed))
 
     def report(self, suite: str, sweep: tuple, started: float) -> CheckReport:
         ordered = sorted(self.failures, key=lambda r: (r.check_id, r.instance))
-        return CheckReport(suite, sweep, self.total, ordered, time.perf_counter() - started)
+        return CheckReport(suite, sweep, self.total, self.failed, ordered, time.perf_counter() - started)
 
 
 @lru_cache(maxsize=256)
@@ -324,8 +330,9 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
         failures.extend(r.failures)
     failures.sort(key=lambda r: (r.check_id, r.instance))
     del failures[FAILURE_CAP:]
+    failed = sum(r.failures_total for r in reports)
     suite = "all" if checks == "all" else "+".join(selected)
-    return CheckReport(suite, (n_min, n_max), total, failures, time.perf_counter() - started)
+    return CheckReport(suite, (n_min, n_max), total, failed, failures, time.perf_counter() - started)
 
 
 def _available_cores() -> int:

@@ -14,6 +14,7 @@ import pytest
 import stirval
 import stirval.formulas as formulas_mod
 from stirval.cli import dispatch
+from stirval.verifier import FAILURE_CAP
 
 
 def run(capsys, *argv):
@@ -173,10 +174,11 @@ class TestVerifyCommand:
         )
         assert code == 0
         report = json.loads(out)
-        assert set(report) == {"suite", "range", "total", "failures", "elapsed_ms"}
+        assert set(report) == {"suite", "range", "total", "failures_total", "failures", "elapsed_ms"}
         assert report["suite"] == "theorem2"
         assert report["range"] == [1, 3]
         assert report["total"] == 14
+        assert report["failures_total"] == 0
         assert report["failures"] == []
         assert isinstance(report["elapsed_ms"], int)
 
@@ -194,6 +196,23 @@ class TestVerifyCommand:
         assert rows[0] == ["check_id", "n", "instance", "expected", "actual", "passed"]
         assert len(rows) == 3  # two interior columns fail
         assert all(r[0] == "theorem1" and r[5] == "False" for r in rows[1:])
+
+    def test_true_failure_count_past_cap(self, capsys, monkeypatch):
+        original = formulas_mod.theorem1_valuation
+        monkeypatch.setattr(
+            formulas_mod, "theorem1_valuation", lambda n, m, k: original(n, m, k) + 1
+        )
+        argv = ("verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "8", "--jobs", "1")
+        failed = sum(2**n - 2 for n in range(2, 9))  # all but the two boundary columns
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert f" failures={failed} " in lines[0]
+        assert len(lines) == 1 + FAILURE_CAP
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        report = json.loads(out)
+        assert report["failures_total"] == failed
+        assert len(report["failures"]) == FAILURE_CAP
 
     def test_same_report_under_optimize_flag(self):
         # `assert` vanishes under -O; a check that relies on it would

@@ -216,6 +216,9 @@ class TestFailurePlumbing:
         )
         r = run_suite(2, 8, ["theorem1"], jobs=1)
         assert len(r.failures) == FAILURE_CAP == 100
+        # the true count goes past the sample cap: every column but the
+        # two boundary ones fails
+        assert r.failures_total == sum(2**n - 2 for n in range(2, 9)) > FAILURE_CAP
         assert r.failures == sorted(r.failures, key=lambda f: (f.check_id, f.instance))
         # totals still count every instance, not just retained failures
         assert r.total == sum(2**n for n in range(2, 9))
