@@ -347,12 +347,14 @@ def dispatch(argv) -> int:
     for dest, fallback in (("format", "text"), ("cache_dir", None), ("max_n", None), ("jobs", None)):
         if not hasattr(args, dest):
             setattr(args, dest, fallback)
+    if args.max_n is not None and args.max_n < 0:
+        print("error: --max-n must be >= 0", file=sys.stderr)
+        return 2
+    # --max-n moves both caps for this command only; later calls in the
+    # same process see the caps they had before.
+    caps = stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP
     if args.max_n is not None:
-        if args.max_n < 0:
-            print("error: --max-n must be >= 0", file=sys.stderr)
-            return 2
-        stirling_mod.ROW_CAP = args.max_n
-        harmonic_mod.TABLE_CAP = args.max_n
+        stirling_mod.ROW_CAP = harmonic_mod.TABLE_CAP = args.max_n
     cache_dir = args.cache_dir or os.environ.get("STIRVAL_CACHE_DIR")
     try:
         return _COMMANDS[args.command](args, cache_dir)
@@ -368,6 +370,8 @@ def dispatch(argv) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP = caps
 
 
 def main() -> None:

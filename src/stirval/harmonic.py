@@ -16,6 +16,7 @@ about tenfold per doubling of n, so the harmonic upper bound
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,7 +88,7 @@ def identity_residual(n: int, k: int) -> int:
     return int(lhs) - stirling(n + 1, k + 1)
 
 
-def bound_margin(n: int, k: int) -> Valuation:
+def bound_margin(n: int, k: int, *, row: Sequence[int] | None = None) -> Valuation:
     """Return v2(H(2**n, k)) + n; the upper-bound claim says <= 0.
 
     Read exactly from the integer row 2**n + 1, never from the rational
@@ -99,8 +100,16 @@ def bound_margin(n: int, k: int) -> Valuation:
     the one the rational table gives; identity_residual checks the
     identity itself against that table.
 
+    Args:
+        n: Row exponent, n >= 1.
+        k: Column, 1 <= k <= 2**n.
+        row: The coefficients s(2**n + 1, 0..2**n + 1), when the caller
+            already holds them (the verifier passes its cross-checked
+            row). Without it the row comes from stirling().
+
     Raises:
-        DomainError: If n < 1 or k is outside 1..2**n.
+        DomainError: If n < 1, k is outside 1..2**n, or row does not
+            have 2**n + 2 entries.
         ResourceLimitError: If row 2**n + 1 exceeds the row cap.
     """
     if n < 1:
@@ -108,7 +117,13 @@ def bound_margin(n: int, k: int) -> Valuation:
     if not 1 <= k <= 2 ** n:
         raise DomainError(f"need 1 <= k <= 2**{n}, got {k}")
     top = 2 ** n
-    return vp_int(2, stirling(top + 1, k + 1)) - factorial_valuation(2, top) + n
+    if row is None:
+        value = stirling(top + 1, k + 1)
+    elif len(row) != top + 2:
+        raise DomainError(f"row 2**{n} + 1 has {top + 2} entries, got {len(row)}")
+    else:
+        value = row[k + 1]
+    return vp_int(2, value) - factorial_valuation(2, top) + n
 
 
 def conjecture_scan(p: int, k: int, n_max: int) -> list[tuple[int, Valuation, float]]:

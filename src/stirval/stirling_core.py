@@ -14,18 +14,26 @@ build plain rows:
                 measured crossover), through libmpdec's
                 number-theoretic-transform multiply in base 10**W
 
-The engines share no multiplication code path, which is what makes
-their agreement a meaningful cross-check. Coefficients reach hundreds
-of kilobits near the configured cap, so rows are handled as flat lists
-and multiplied via Kronecker substitution (pack the coefficients of a
-polynomial into one giant integer, multiply once, slice the product
-back apart).
+The engines share only _times_linear, the multiply by one factor
+(x + c): the recurrence is that step repeated, while the product tree
+uses it only inside leaves of fewer than _TREE_BASE factors and joins
+the leaves with _poly_mul, which the recurrence never calls. A fault
+in the shared step slips past the engines' cross-check only if it
+still multiplies by some fixed polynomial (say x + c + 1); the tests
+pin rows against closed-form columns and n!, which such a fault
+breaks.
+
+Coefficients reach hundreds of kilobits near the configured cap, so
+rows are handled as flat lists and multiplied via Kronecker
+substitution (pack the coefficients of a polynomial into one giant
+integer, multiply once, slice the product back apart).
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -104,15 +112,21 @@ def _check_row_args(n: int, shift: int = 0) -> None:
         raise ResourceLimitError(f"shift {shift} exceeds cap {SHIFT_CAP}")
 
 
+def _times_linear(coeffs: Sequence[int], c: int) -> list[int]:
+    """Coefficients of coeffs * (x + c), lowest power first.
+
+    This is one step of s(n+1,k) = n*s(n,k) + s(n,k-1): new[k] =
+    c*old[k] + old[k-1]. The list comprehension keeps the loop body in C.
+    """
+    return [c * coeffs[0]] + [c * v + u for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+
+
 def row_recurrence(n: int) -> StirlingRow:
     """Build s(n,0..n) bottom-up from the two-term recurrence."""
     _check_row_args(n)
     row = [1]
     for i in range(n):
-        # Row i+1 from row i: new[k] = i*old[k] + old[k-1]. The list
-        # comprehensions keep the loop body in C.
-        scaled = [i * c for c in row]
-        row = [scaled[0]] + [s + c for s, c in zip(scaled[1:], row)] + [row[-1]]
+        row = _times_linear(row, i)
     return StirlingRow(n, tuple(row), "recurrence")
 
 
@@ -185,8 +199,7 @@ def _expand_chain(lo: int, hi: int) -> list[int]:
     # Sequential expansion of prod_{c in [lo, hi)} (x + c).
     coeffs = [1]
     for c in range(lo, hi):
-        shifted = [c * v for v in coeffs]
-        coeffs = [shifted[0]] + [s + v for s, v in zip(shifted[1:], coeffs)] + [coeffs[-1]]
+        coeffs = _times_linear(coeffs, c)
     return coeffs
 
 

@@ -1,14 +1,17 @@
 """Brute-force verification of the valuation claims against exact rows.
 
 Every check follows the same shape: build the relevant rows exactly,
-derive the claimed quantity, compare. Ground-truth rows are always
-computed by BOTH engines (recurrence and product tree) and must agree
-coefficientwise before any claim is evaluated; shifted rows are
-likewise expanded twice, once balanced and once sequentially. A report
-carries the total number of instances checked, the true number that
-failed, and a sample of the failing ones (capped), never just the
-first failure, because diagnosing a systematic off-by-one needs the
-full pattern.
+derive the claimed quantity, compare. Every row built from scratch,
+row 2**n among them, is computed by BOTH engines (recurrence and
+product tree), which must agree coefficientwise before any claim is
+evaluated. Row 2**n + 1 is not built from scratch: it is lifted from
+the cross-checked row 2**n by one multiply with (x + 2**n), done twice
+by code the two paths do not share (see _verified_lifted_coeffs).
+Shifted rows are likewise expanded twice, once balanced and once
+sequentially. A report carries the total number of instances checked,
+the true number that failed, and a sample of the failing ones
+(capped), never just the first failure, because diagnosing a
+systematic off-by-one needs the full pattern.
 
 Available checks:
 
@@ -37,7 +40,10 @@ from .formulas import predict_valuation
 from .harmonic import bound_margin
 from .padic import INFINITE, vp_int
 from .stirling_core import (
+    _check_row_args,
     _expand_chain,
+    _poly_mul,
+    _times_linear,
     convolution_rhs,
     lemma21_rhs,
     row_product_tree,
@@ -112,6 +118,27 @@ def _verified_plain_coeffs(n: int) -> tuple[int, ...]:
     return rec.coeffs
 
 
+@lru_cache(maxsize=256)
+def _verified_lifted_coeffs(n: int) -> tuple[int, ...]:
+    """Row n + 1, lifted from the cross-checked row n.
+
+    Sound because row n + 1 is exactly row n times (x + n), the
+    rising factorial's next factor. Row n itself comes from both whole
+    engines, which must agree. The one step is then computed twice by
+    paths that share no code: _times_linear (the recurrence step) and
+    _poly_mul with a two-term operand (its schoolbook branch). So both
+    parts of the lifted row, row n and the last step, are computed
+    twice by independent code, at the cost of one step instead of two
+    whole rows.
+    """
+    _check_row_args(n + 1)
+    base = _verified_plain_coeffs(n)
+    step = tuple(_times_linear(base, n))
+    if step != tuple(_poly_mul(list(base), [n, 1])):
+        raise ConsistencyError(f"lift paths disagree on row {n + 1}")
+    return step
+
+
 @lru_cache(maxsize=2048)
 def _verified_shifted_coeffs(m: int, n: int) -> tuple[int, ...]:
     tree = shifted_row_expand(m, n)
@@ -136,13 +163,17 @@ def check_theorem1(n: int) -> CheckReport:
 
 
 def check_theorem2(n: int) -> CheckReport:
-    """Check v2(s(2**n + 1, k+1)) = v2(s(2**n, k)) for every k."""
+    """Check v2(s(2**n + 1, k+1)) = v2(s(2**n, k)) for every k.
+
+    Row 2**n is built by both engines; row 2**n + 1 is lifted from it
+    by the two checked paths of _verified_lifted_coeffs.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     started = time.perf_counter()
     col = _Collector()
+    lifted = _verified_lifted_coeffs(2 ** n)
     base = _verified_plain_coeffs(2 ** n)
-    lifted = _verified_plain_coeffs(2 ** n + 1)
     for k in range(1, 2 ** n + 1):
         expected = vp_int(2, base[k])
         actual = vp_int(2, lifted[k + 1])
@@ -247,12 +278,16 @@ def check_inequalities(n: int) -> CheckReport:
     v2(s(2**n,k)) <= v2(s(2**n,1)); and v2(H(2**n,k)) + n <= 0, where
     bound_margin reads v2(H(2**n,k)) from the integer row 2**n + 1
     through (2**n)! * H(2**n,k) = s(2**n+1,k+1) and Legendre's formula.
+    Row 2**n is built by both engines; row 2**n + 1 is lifted from it
+    by the two checked paths of _verified_lifted_coeffs, the same row
+    theorem2 reads.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
     top = 2 ** n
+    lifted = _verified_lifted_coeffs(top)
     row = _verified_plain_coeffs(top)
     vals = [INFINITE] + [vp_int(2, row[t]) for t in range(1, top + 1)]
     for i in range(3, top):
@@ -266,7 +301,7 @@ def check_inequalities(n: int) -> CheckReport:
     for k in range(1, top + 1):
         col.add("max_at_first_index", (n, k), f"<= {v_first}", vals[k], vals[k] <= v_first)
     for k in range(1, top + 1):
-        margin = bound_margin(n, k)
+        margin = bound_margin(n, k, row=lifted)
         col.add("harmonic_bound", (n, k), "<= 0", margin, margin <= 0)
     return col.report("inequalities", (n,), started)
 

@@ -13,6 +13,8 @@ import pytest
 
 import stirval
 import stirval.formulas as formulas_mod
+import stirval.harmonic as harmonic_mod
+import stirval.stirling_core as stirling_mod
 from stirval.cli import dispatch
 from stirval.verifier import FAILURE_CAP
 
@@ -246,23 +248,23 @@ class TestVerifyCommand:
 
 
 class TestGlobalFlags:
-    @pytest.fixture
-    def restore_caps(self, monkeypatch):
-        # --max-n mutates the module caps for the life of the process;
-        # re-set them to themselves so monkeypatch undoes the mutation
-        import stirval.harmonic as harmonic_mod
-        import stirval.stirling_core as stirling_mod
-
-        monkeypatch.setattr(stirling_mod, "ROW_CAP", stirling_mod.ROW_CAP)
-        monkeypatch.setattr(harmonic_mod, "TABLE_CAP", harmonic_mod.TABLE_CAP)
-
-    def test_max_n_caps_rows(self, capsys, restore_caps):
+    def test_max_n_caps_rows(self, capsys):
         code, _, err = run(capsys, "--max-n", "4", "row", "--n", "8")
         assert code == 3 and "cap" in err
 
-    def test_max_n_caps_harmonic(self, capsys, restore_caps):
+    def test_max_n_caps_harmonic(self, capsys):
         code, _, err = run(capsys, "harmonic", "--n", "40", "--max-n", "10")
         assert code == 3
+
+    def test_max_n_lasts_one_command(self, capsys):
+        row_cap, table_cap = stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP
+        assert (row_cap, table_cap) == (2**13, 2**12)
+        code, out, _ = run(capsys, "--max-n", "16", "value", "--n", "4", "--k", "2")
+        assert code == 0 and out.strip() == "11"
+        assert (stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP) == (row_cap, table_cap)
+        code, _, _ = run(capsys, "--max-n", "4", "row", "--n", "8")
+        assert code == 3
+        assert (stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP) == (row_cap, table_cap)
 
     def test_negative_max_n(self, capsys):
         code, _, err = run(capsys, "--max-n", "-1", "row", "--n", "2")

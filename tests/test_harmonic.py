@@ -17,7 +17,7 @@ from stirval.harmonic import (
     identity_residual,
 )
 from stirval.padic import vp_rat
-from stirval.stirling_core import stirling
+from stirval.stirling_core import row_recurrence, stirling
 
 
 class TestHarmonicTable:
@@ -127,6 +127,18 @@ class TestBoundMargin:
         with pytest.raises(ResourceLimitError):
             harmonic_table(32)
         assert [bound_margin(5, k) for k in range(1, 33)] == expected
+
+    def test_given_row_matches_own_row(self):
+        for n in range(1, 7):
+            row = row_recurrence(2**n + 1).coeffs
+            for k in range(1, 2**n + 1):
+                assert bound_margin(n, k, row=row) == bound_margin(n, k), (n, k)
+
+    def test_given_row_of_wrong_length(self):
+        row = row_recurrence(9).coeffs
+        for bad in (row[:-1], row + (0,), row_recurrence(8).coeffs):
+            with pytest.raises(DomainError):
+                bound_margin(3, 1, row=bad)
 
     def test_sweep_nonpositive(self):
         for n in range(1, 7):

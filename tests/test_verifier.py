@@ -5,9 +5,11 @@ import warnings
 import pytest
 
 import stirval.formulas as formulas_mod
-from stirval.errors import DomainError
+import stirval.stirling_core as stirling_mod
+import stirval.verifier as verifier_mod
+from stirval.errors import ConsistencyError, DomainError, ResourceLimitError
 from stirval.padic import INFINITE, vp_int
-from stirval.stirling_core import row_product_tree, shifted_row_expand
+from stirval.stirling_core import row_product_tree, row_recurrence, shifted_row_expand
 from stirval.verifier import (
     FAILURE_CAP,
     SUITE_IDS,
@@ -110,8 +112,6 @@ class TestIdentitiesCheck:
     def test_rejects_bad_bounds(self):
         with pytest.raises(DomainError):
             check_identities(-1, 2)
-        from stirval.errors import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
             check_identities(65, 2)
 
@@ -137,6 +137,67 @@ class TestInequalitiesCheck:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             check_inequalities(1)
+
+
+def _clear_row_caches():
+    verifier_mod._verified_plain_coeffs.cache_clear()
+    verifier_mod._verified_lifted_coeffs.cache_clear()
+    stirling_mod._cached_coeffs.cache_clear()
+
+
+class TestLiftedRow:
+    def test_lift_matches_recurrence(self):
+        for top in (1, 2, 8, 32, 64):
+            assert verifier_mod._verified_lifted_coeffs(top) == row_recurrence(top + 1).coeffs
+
+    def test_row_2n_plus_1_never_built_from_scratch(self, monkeypatch):
+        n = 5
+        calls = []
+        for module in (stirling_mod, verifier_mod):
+            for attr in ("row_recurrence", "row_product_tree"):
+                build = getattr(module, attr)
+
+                def counted(m, build=build, attr=attr):
+                    calls.append((attr, m))
+                    return build(m)
+
+                monkeypatch.setattr(module, attr, counted)
+        _clear_row_caches()
+        r = run_suite(n, n, ["theorem2", "inequalities"], jobs=1)
+        assert r.total > 0 and r.failures_total == 0
+        assert not [c for c in calls if c[1] == 2**n + 1]
+        assert sorted(c for c in calls if c[1] == 2**n) == [
+            ("row_product_tree", 2**n),
+            ("row_recurrence", 2**n),
+        ]
+
+    def test_disagreeing_lift_paths_raise(self, monkeypatch):
+        n = 5
+
+        def off_by_one(a, b):
+            out = stirling_mod._poly_mul(a, b)
+            out[3] += 1
+            return out
+
+        monkeypatch.setattr(verifier_mod, "_poly_mul", off_by_one)
+        _clear_row_caches()
+        with pytest.raises(ConsistencyError, match=f"row {2**n + 1}"):
+            check_theorem2(n)
+        with pytest.raises(ConsistencyError, match=f"row {2**n + 1}"):
+            check_inequalities(n)
+
+    def test_row_cap_holds_for_lifted_row(self):
+        # row 8 fits under the cap, row 9 does not
+        saved = stirling_mod.ROW_CAP
+        _clear_row_caches()
+        try:
+            stirling_mod.ROW_CAP = 8
+            with pytest.raises(ResourceLimitError):
+                check_theorem2(3)
+            with pytest.raises(ResourceLimitError):
+                check_inequalities(3)
+        finally:
+            stirling_mod.ROW_CAP = saved
 
 
 class TestRunSuite:
