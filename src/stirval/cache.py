@@ -46,9 +46,12 @@ class CacheEntry:
         return cls(n, shift, blake2b64(_payload(coeffs)), coeffs)
 
 
-def blake2b64(data: bytes) -> int:
-    """64-bit BLAKE2b digest of a byte string, read as a big-endian int."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+def blake2b64(*chunks: bytes) -> int:
+    """64-bit BLAKE2b digest of the chunks joined, read as a big-endian int."""
+    digest = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        digest.update(chunk)
+    return int.from_bytes(digest.digest(), "big")
 
 
 # Off the load/store path; kept because the benchmark tracer wraps it by name.
@@ -95,34 +98,35 @@ def cache_load(n: int, shift: int, directory: str) -> CacheEntry | None:
     path = entry_path(n, shift, directory)
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            lines = fh.readlines()
     except FileNotFoundError:
         return None
-    entry = _parse(raw, n, shift)
+    entry = _parse(lines, n, shift)
     if entry is None:
         warnings.warn(f"discarding corrupt cache file {path}", stacklevel=2)
     return entry
 
 
-def _parse(raw: bytes, n: int, shift: int) -> CacheEntry | None:
-    head, sep, body = raw.partition(b"\n")
-    fields = head.decode("ascii", errors="replace").split(" ")
-    if not sep or len(fields) != 5 or fields[0] != _MAGIC or fields[1] != _VERSION:
+def _parse(lines: list[bytes], n: int, shift: int) -> CacheEntry | None:
+    # Line by line: a row file of megabytes is never held as one block
+    # (nor copied into a payload and a text block), only as one short
+    # bytes object per coefficient.
+    if not lines or not lines[0].endswith(b"\n"):
+        return None
+    fields = lines[0][:-1].decode("ascii", errors="replace").split(" ")
+    if len(fields) != 5 or fields[0] != _MAGIC or fields[1] != _VERSION:
         return None
     try:
         file_n, file_shift, checksum = int(fields[2]), int(fields[3]), int(fields[4], 16)
     except ValueError:
         return None
-    if file_n != n or file_shift != shift or blake2b64(body) != checksum:
-        return None
-    try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError:
+    body = lines[1:]
+    if file_n != n or file_shift != shift or blake2b64(*body) != checksum:
         return None
     coeffs = []
-    for idx, line in enumerate(text.splitlines()):
-        key, sep2, hexval = line.partition(":")
-        if not sep2 or key != str(idx):
+    for idx, line in enumerate(body):
+        key, sep, hexval = line.partition(b":")
+        if not sep or key != b"%d" % idx:
             return None
         try:
             coeffs.append(int(hexval, 16))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -32,6 +33,21 @@ def _jsonable(v):
     if v == INFINITE:
         return "inf"
     return v
+
+
+# glibc's mallopt parameter number for the mmap threshold.
+_M_MMAP_THRESHOLD = -3
+
+
+def _load_mallopt():
+    # None where the C library has no mallopt (macOS, Windows).
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+_MALLOPT = _load_mallopt()
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -337,6 +353,18 @@ def dispatch(argv) -> int:
     # in the same process go on to format the values printed here.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    # glibc serves blocks of 128 KiB and more with mmap at first, but
+    # raises that threshold to the size of each such block freed. Once
+    # the product tree has freed its first multi-megabyte packs and
+    # products, later ones come from the heap, and what earlier
+    # commands left there decides whether they fit into free space or
+    # grow it: a `value` on a row near 1600 then peaks at about 49 or
+    # about 59 MB depending only on which rows came before it. Fixing
+    # the threshold keeps large blocks mapped and returned on free.
+    # Like the digit limit it stays set after return; glibc offers no
+    # way to read the old value back.
+    if _MALLOPT is not None:
+        _MALLOPT(_M_MMAP_THRESHOLD, 128 * 1024)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

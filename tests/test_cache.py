@@ -23,6 +23,10 @@ class TestChecksum:
         assert blake2b64(b"") == 0xE4A6A0577479B2B4
         assert blake2b64(b"abc") == 0xD8BB14D833D59559
 
+    def test_blake2b64_joins_chunks(self):
+        assert blake2b64(b"a", b"", b"bc") == blake2b64(b"abc")
+        assert blake2b64() == blake2b64(b"")
+
     def test_for_row_is_deterministic(self):
         a = CacheEntry.for_row(8, 0, ROW_8)
         b = CacheEntry.for_row(8, 0, ROW_8)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import stirval
+import stirval.cli as cli_mod
 import stirval.formulas as formulas_mod
 import stirval.harmonic as harmonic_mod
 import stirval.stirling_core as stirling_mod
@@ -265,6 +266,13 @@ class TestGlobalFlags:
         code, _, _ = run(capsys, "--max-n", "4", "row", "--n", "8")
         assert code == 3
         assert (stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP) == (row_cap, table_cap)
+
+    def test_fixes_mmap_threshold(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_mod, "_MALLOPT", lambda param, value: calls.append((param, value)))
+        code, out, _ = run(capsys, "value", "--n", "4", "--k", "2")
+        assert code == 0 and out.strip() == "11"
+        assert calls == [(cli_mod._M_MMAP_THRESHOLD, 128 * 1024)]
 
     def test_negative_max_n(self, capsys):
         code, _, err = run(capsys, "--max-n", "-1", "row", "--n", "2")
