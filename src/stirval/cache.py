@@ -16,6 +16,12 @@ row; any file that fails the checksum or does not parse is reported as
 a warning and treated as absent, never returned as data. Files of
 format version 1 (FNV-1a checksum) fail the version check and are
 discarded and rebuilt the same way.
+
+A load may ask for one coefficient instead of the whole row. It then
+converts only that line from hex, but checks the file exactly as a
+full load does: the header, the line count and the checksum over the
+whole payload, plus the key of the line it reads. Only a file that
+passes every check is served, in part or in full.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import hashlib
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -40,10 +46,17 @@ class CacheEntry:
     shift: int
     checksum: int
     coeffs: tuple[int, ...]
+    # The payload the checksum was taken of, kept so that cache_store
+    # need not serialize the row a second time. Only for_row sets it;
+    # it is not an __init__ argument, so it always matches coeffs.
+    payload: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_row(cls, n: int, shift: int, coeffs: tuple[int, ...]) -> "CacheEntry":
-        return cls(n, shift, blake2b64(_payload(coeffs)), coeffs)
+        payload = _payload(coeffs)
+        entry = cls(n, shift, blake2b64(payload), coeffs)
+        object.__setattr__(entry, "payload", payload)
+        return entry
 
 
 def blake2b64(*chunks: bytes) -> int:
@@ -72,12 +85,17 @@ def entry_path(n: int, shift: int, directory: str) -> str:
 
 
 def cache_store(entry: CacheEntry, directory: str) -> None:
-    """Atomically write one row file; overwrites any existing entry."""
-    payload = _payload(entry.coeffs)
-    checksum = blake2b64(payload)
-    if checksum != entry.checksum:
-        raise ValueError("entry checksum does not match its coefficients")
-    header = f"{_MAGIC} {_VERSION} {entry.n} {entry.shift} {checksum:016x}\n"
+    """Atomically write one row file; overwrites any existing entry.
+
+    An entry not built by for_row is serialized here and refused if its
+    checksum does not match its coefficients.
+    """
+    payload = entry.payload
+    if payload is None:
+        payload = _payload(entry.coeffs)
+        if blake2b64(payload) != entry.checksum:
+            raise ValueError("entry checksum does not match its coefficients")
+    header = f"{_MAGIC} {_VERSION} {entry.n} {entry.shift} {entry.checksum:016x}\n"
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -93,24 +111,39 @@ def cache_store(entry: CacheEntry, directory: str) -> None:
         raise
 
 
-def cache_load(n: int, shift: int, directory: str) -> CacheEntry | None:
-    """Load one row, or None if it is missing or fails validation."""
+def cache_load(n: int, shift: int, directory: str, *, k: int | None = None) -> CacheEntry | int | None:
+    """Load one row, or None if it is missing or fails validation.
+
+    With k (0 <= k <= n), return only the coefficient s(n, k) of the
+    row, or None. The file gets the same checks either way; only the
+    hex conversion is limited to line k.
+    """
+    if k is not None and not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     path = entry_path(n, shift, directory)
     try:
         with open(path, "rb") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         return None
-    entry = _parse(lines, n, shift)
-    if entry is None:
-        warnings.warn(f"discarding corrupt cache file {path}", stacklevel=2)
-    return entry
-
-
-def _parse(lines: list[bytes], n: int, shift: int) -> CacheEntry | None:
     # Line by line: a row file of megabytes is never held as one block
     # (nor copied into a payload and a text block), only as one short
     # bytes object per coefficient.
+    checksum = _checked_checksum(lines, n, shift)
+    if checksum is None:
+        result = None
+    elif k is None:
+        result = _parse_row(lines, n, shift, checksum)
+    else:
+        result = _parse_coeff(lines[1 + k], k)
+    if result is None:
+        warnings.warn(f"discarding corrupt cache file {path}", stacklevel=2)
+    return result
+
+
+def _checked_checksum(lines: list[bytes], n: int, shift: int) -> int | None:
+    """The file's checksum if its header names row (n, shift), it has
+    n + 1 coefficient lines and the checksum matches them; else None."""
     if not lines or not lines[0].endswith(b"\n"):
         return None
     fields = lines[0][:-1].decode("ascii", errors="replace").split(" ")
@@ -120,18 +153,29 @@ def _parse(lines: list[bytes], n: int, shift: int) -> CacheEntry | None:
         file_n, file_shift, checksum = int(fields[2]), int(fields[3]), int(fields[4], 16)
     except ValueError:
         return None
-    body = lines[1:]
-    if file_n != n or file_shift != shift or blake2b64(*body) != checksum:
+    if file_n != n or file_shift != shift or len(lines) != n + 2:
         return None
+    if blake2b64(*lines[1:]) != checksum:
+        return None
+    return checksum
+
+
+def _parse_coeff(line: bytes, k: int) -> int | None:
+    """The value on a line that reads `k:<hex>`, or None."""
+    key, sep, hexval = line.partition(b":")
+    if not sep or key != b"%d" % k:
+        return None
+    try:
+        return int(hexval, 16)
+    except ValueError:
+        return None
+
+
+def _parse_row(lines: list[bytes], n: int, shift: int, checksum: int) -> CacheEntry | None:
     coeffs = []
-    for idx, line in enumerate(body):
-        key, sep, hexval = line.partition(b":")
-        if not sep or key != b"%d" % idx:
+    for k, line in enumerate(lines[1:]):
+        value = _parse_coeff(line, k)
+        if value is None:
             return None
-        try:
-            coeffs.append(int(hexval, 16))
-        except ValueError:
-            return None
-    if len(coeffs) != n + 1:
-        return None
+        coeffs.append(value)
     return CacheEntry(n, shift, checksum, tuple(coeffs))

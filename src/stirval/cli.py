@@ -125,15 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _row_coeffs(n: int, shift: int, cache_dir: str | None, engine: str = "product_tree"):
+def _row_coeffs(
+    n: int, shift: int, cache_dir: str | None, engine: str = "product_tree", k: int | None = None
+):
+    """Row (n, shift) as a tuple, or only its coefficient k when k is given.
+
+    The caps are checked before the cache is read, so a row stored
+    under a larger --max-n is refused just as a fresh build would be. A
+    hit for one coefficient converts only that line of the file.
+    """
+    stirling_mod._check_row_args(n, shift)
     # The cache stores product-tree expansions as built, not checked
     # against the recurrence; its checksum only guards the file. An
     # explicit recurrence request always computes fresh.
     usable = cache_dir and engine == "product_tree"
     if usable:
-        entry = cache_load(n, shift, cache_dir)
-        if entry is not None:
-            return entry.coeffs
+        hit = cache_load(n, shift, cache_dir, k=k)
+        if hit is not None:
+            return hit if k is not None else hit.coeffs
     if shift:
         coeffs = stirling_mod.shifted_row_expand(shift, n).coeffs
     elif engine == "recurrence":
@@ -142,7 +151,7 @@ def _row_coeffs(n: int, shift: int, cache_dir: str | None, engine: str = "produc
         coeffs = stirling_mod.row_product_tree(n).coeffs
     if usable:
         cache_store(CacheEntry.for_row(n, shift, coeffs), cache_dir)
-    return coeffs
+    return coeffs if k is None else coeffs[k]
 
 
 def _emit_indexed(pairs, fmt: str, json_meta: dict) -> None:
@@ -168,7 +177,7 @@ def _cmd_value(args, cache_dir) -> int:
     if args.n < 0:
         raise DomainError(f"row index must be >= 0, got {args.n}")
     if 0 <= args.k <= args.n:
-        value = _row_coeffs(args.n, 0, cache_dir)[args.k]
+        value = _row_coeffs(args.n, 0, cache_dir, k=args.k)
     else:
         value = 0
     if args.format == "json":
@@ -185,15 +194,16 @@ def _cmd_value(args, cache_dir) -> int:
 def _cmd_shifted(args, cache_dir) -> int:
     if args.m < 0:
         raise DomainError(f"shift must be >= 0, got {args.m}")
-    coeffs = _row_coeffs(args.n, args.m, cache_dir)
     if args.k is not None:
         if not 0 <= args.k <= args.n:
             raise DomainError(f"need 0 <= k <= n, got k={args.k}")
+        value = _row_coeffs(args.n, args.m, cache_dir, k=args.k)
         if args.format == "json":
-            print(json.dumps({"m": args.m, "n": args.n, "k": args.k, "value": coeffs[args.k]}))
+            print(json.dumps({"m": args.m, "n": args.n, "k": args.k, "value": value}))
         else:
-            print(coeffs[args.k])
+            print(value)
         return 0
+    coeffs = _row_coeffs(args.n, args.m, cache_dir)
     meta = {"m": args.m, "n": args.n, "coeffs": list(coeffs)}
     _emit_indexed(list(enumerate(coeffs)), args.format, meta)
     return 0

@@ -55,7 +55,14 @@ def decompose_index(n: int, t: int) -> IndexDecomposition:
     """Write column t as 2**m - k with (m, k) in T_n.
 
     m is forced: it is the unique integer with 2**(m-1) - 1 <= t
-    <= 2**m - 2, i.e. the bit length of t + 1.
+    <= 2**m - 2, i.e. the bit length of t + 1. For every t in
+    [1, 2**n - 2] the pair then lies in T_n, so the checks on n and t
+    are the only ones needed:
+      - t >= 1 gives t + 1 >= 2, so m >= 2; t <= 2**n - 2 gives
+        t + 1 < 2**n, so m <= n;
+      - k = 2**m - t with t <= 2**m - 2 gives k >= 2, and with
+        t >= 2**(m-1) - 1 gives k <= 2**(m-1) + 1.
+    theorem1_valuation checks both ranges again with DomainError.
     """
     if n < 2:
         raise DomainError(f"decomposition needs n >= 2, got {n}")
@@ -63,7 +70,6 @@ def decompose_index(n: int, t: int) -> IndexDecomposition:
         raise DomainError(f"column {t} outside [1, 2**{n} - 2]")
     m = (t + 1).bit_length()
     k = 2 ** m - t
-    assert 2 <= m <= n and 2 <= k <= 2 ** (m - 1) + 1
     return IndexDecomposition(n, t, m, k, k % 2)
 
 

@@ -33,7 +33,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .formulas import predict_valuation
@@ -109,7 +109,29 @@ class _Collector:
         return CheckReport(suite, sweep, self.total, self.failed, ordered, time.perf_counter() - started)
 
 
-@lru_cache(maxsize=256)
+def _capped_cache(maxsize: int, check):
+    """lru_cache that runs check(*args) before every lookup.
+
+    A bare lru_cache reaches the row cap only on a miss, inside the
+    engines, so a row cached under a raised cap would still be served
+    after the cap drops back.
+    """
+
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def lookup(*args):
+            check(*args)
+            return cached(*args)
+
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+
+    return decorate
+
+
+@_capped_cache(256, _check_row_args)
 def _verified_plain_coeffs(n: int) -> tuple[int, ...]:
     rec = row_recurrence(n)
     tree = row_product_tree(n)
@@ -118,7 +140,7 @@ def _verified_plain_coeffs(n: int) -> tuple[int, ...]:
     return rec.coeffs
 
 
-@lru_cache(maxsize=256)
+@_capped_cache(256, lambda n: _check_row_args(n + 1))
 def _verified_lifted_coeffs(n: int) -> tuple[int, ...]:
     """Row n + 1, lifted from the cross-checked row n.
 
@@ -131,7 +153,6 @@ def _verified_lifted_coeffs(n: int) -> tuple[int, ...]:
     twice by independent code, at the cost of one step instead of two
     whole rows.
     """
-    _check_row_args(n + 1)
     base = _verified_plain_coeffs(n)
     step = tuple(_times_linear(base, n))
     if step != tuple(_poly_mul(list(base), [n, 1])):
@@ -139,7 +160,7 @@ def _verified_lifted_coeffs(n: int) -> tuple[int, ...]:
     return step
 
 
-@lru_cache(maxsize=2048)
+@_capped_cache(2048, lambda m, n: _check_row_args(n, m))
 def _verified_shifted_coeffs(m: int, n: int) -> tuple[int, ...]:
     tree = shifted_row_expand(m, n)
     chain = tuple(_expand_chain(m, m + n))

@@ -7,11 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import stirval
+import stirval.cache as cache_mod
 import stirval.cli as cli_mod
 import stirval.formulas as formulas_mod
 import stirval.harmonic as harmonic_mod
@@ -311,3 +313,94 @@ class TestGlobalFlags:
         blocker.write_text("not a directory")
         code, _, err = run(capsys, "row", "--n", "6", "--cache-dir", str(blocker))
         assert code == 2 and "i/o error" in err
+
+
+def _rewrite_body(path, body):
+    # Keep the header's n and shift, recompute the checksum over body.
+    header = path.read_bytes().split(b"\n", 1)[0].rsplit(b" ", 1)[0]
+    payload = b"".join(body)
+    path.write_bytes(header + b" %016x\n" % cache_mod.blake2b64(payload) + payload)
+
+
+class TestSingleCoefficientHits:
+    ROW_8 = (0, 5040, 13068, 13132, 6769, 1960, 322, 28, 1)
+    REQUESTS = (
+        ("value", "--n", "8", "--k", "5"),
+        ("shifted", "--m", "4", "--n", "4", "--k", "3"),
+    )
+
+    @pytest.mark.parametrize("request_argv", REQUESTS)
+    @pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+    def test_hit_prints_as_miss(self, capsys, tmp_path, request_argv, fmt):
+        argv = (*request_argv, "--format", fmt, "--cache-dir", str(tmp_path))
+        code, miss, _ = run(capsys, *argv)
+        assert code == 0 and len(list(tmp_path.iterdir())) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, hit, _ = run(capsys, *argv)
+        assert code == 0 and hit == miss
+        assert hit == run(capsys, *request_argv, "--format", fmt)[1]
+
+    def test_hit_parses_one_coefficient(self, capsys, tmp_path, monkeypatch):
+        run(capsys, "row", "--n", "8", "--cache-dir", str(tmp_path))
+        seen = []
+        real = cache_mod._parse_coeff
+        monkeypatch.setattr(cache_mod, "_parse_coeff", lambda line, k: seen.append(k) or real(line, k))
+        monkeypatch.setattr(stirling_mod, "row_product_tree", None)  # a hit builds nothing
+        code, out, _ = run(capsys, "value", "--n", "8", "--k", "5", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.strip() == "1960"
+        assert seen == [5]
+
+    def _corrupt_then_recover(self, capsys, tmp_path, corrupt):
+        code, _, _ = run(capsys, "value", "--n", "8", "--k", "5", "--cache-dir", str(tmp_path))
+        assert code == 0
+        path = tmp_path / "row_s0_n8.stirval"
+        corrupt(path)
+        with pytest.warns(UserWarning, match="corrupt"):
+            code, out, _ = run(capsys, "value", "--n", "8", "--k", "5", "--cache-dir", str(tmp_path))
+        assert code == 0 and out.strip() == "1960"
+        # the recomputed row was written back and now serves every column
+        assert cache_mod.cache_load(8, 0, str(tmp_path)).coeffs == self.ROW_8
+
+    def test_flipped_byte_in_another_line(self, capsys, tmp_path):
+        def corrupt(path):
+            # 13068 = 0x330c on line 2; still valid hex, so only the checksum sees it
+            path.write_bytes(path.read_bytes().replace(b"\n2:330c\n", b"\n2:330d\n"))
+
+        self._corrupt_then_recover(capsys, tmp_path, corrupt)
+
+    def test_wrong_key_on_line_k(self, capsys, tmp_path):
+        def corrupt(path):
+            body = path.read_bytes().splitlines(keepends=True)[1:]
+            body[5] = b"6" + body[5][1:]
+            _rewrite_body(path, body)
+
+        self._corrupt_then_recover(capsys, tmp_path, corrupt)
+
+    def test_body_one_line_short(self, capsys, tmp_path):
+        def corrupt(path):
+            _rewrite_body(path, path.read_bytes().splitlines(keepends=True)[1:-1])
+
+        self._corrupt_then_recover(capsys, tmp_path, corrupt)
+
+    def test_truncated_file(self, capsys, tmp_path):
+        def corrupt(path):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+
+        self._corrupt_then_recover(capsys, tmp_path, corrupt)
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("value", "--n", "40", "--k", "3"),
+            ("shifted", "--m", "2", "--n", "40", "--k", "3"),
+            ("shifted", "--m", "2", "--n", "40"),
+            ("row", "--n", "40"),
+        ),
+    )
+    def test_warm_cache_keeps_row_cap(self, capsys, tmp_path, argv):
+        code, _, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert code == 0 and len(list(tmp_path.iterdir())) == 1
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path), "--max-n", "20")
+        assert code == 3 and out == "" and "cap" in err

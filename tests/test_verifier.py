@@ -142,6 +142,7 @@ class TestInequalitiesCheck:
 def _clear_row_caches():
     verifier_mod._verified_plain_coeffs.cache_clear()
     verifier_mod._verified_lifted_coeffs.cache_clear()
+    verifier_mod._verified_shifted_coeffs.cache_clear()
     stirling_mod._cached_coeffs.cache_clear()
 
 
@@ -196,6 +197,29 @@ class TestLiftedRow:
                 check_theorem2(3)
             with pytest.raises(ResourceLimitError):
                 check_inequalities(3)
+        finally:
+            stirling_mod.ROW_CAP = saved
+
+    def test_filled_caches_refuse_rows_above_lowered_cap(self):
+        # rows 16, 17 and the shifted row (16, 16) are cached under the
+        # default cap; each must be refused once the cap drops below it
+        saved = stirling_mod.ROW_CAP
+        _clear_row_caches()
+        try:
+            assert check_theorem2(4).failures_total == 0
+            assert check_lemma24(4).failures_total == 0
+            stirling_mod.ROW_CAP = 16
+            with pytest.raises(ResourceLimitError):
+                check_theorem2(4)
+            with pytest.raises(ResourceLimitError):
+                check_inequalities(4)
+            assert check_theorem1(4).failures_total == 0
+            stirling_mod.ROW_CAP = 8
+            for check in (check_theorem1, check_lemma24, check_lemma25):
+                with pytest.raises(ResourceLimitError):
+                    check(4)
+            with pytest.raises(ResourceLimitError):
+                verifier_mod._verified_shifted_coeffs(16, 16)
         finally:
             stirling_mod.ROW_CAP = saved
 
