@@ -15,6 +15,7 @@ import ctypes
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import harmonic as harmonic_mod
 from . import stirling_core as stirling_mod
@@ -22,14 +23,11 @@ from .cache import CacheEntry, cache_load, cache_store
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .formulas import predict_valuation
 from .padic import INFINITE, vp_rat
-from .verifier import SUITE_IDS, CheckReport, run_suite
-
-
-def _val_str(v) -> str:
-    return "inf" if v == INFINITE else str(v)
+from .verifier import SUITE_IDS, run_suite
 
 
 def _jsonable(v):
+    # JSON has no infinity; text and CSV print "inf" for INFINITE too.
     if v == INFINITE:
         return "inf"
     return v
@@ -125,6 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; every dispatch parses with this one parser.
+_PARSER = build_parser()
+
+
 def _row_coeffs(
     n: int, shift: int, cache_dir: str | None, engine: str = "product_tree", k: int | None = None
 ):
@@ -154,22 +156,38 @@ def _row_coeffs(
     return coeffs if k is None else coeffs[k]
 
 
-def _emit_indexed(pairs, fmt: str, json_meta: dict) -> None:
+def _emit(fmt: str, doc, header, rows, lines) -> None:
+    """Print one command's result in the form fmt names.
+
+    doc is the JSON document, header and rows the CSV table, lines the
+    text output. rows and lines may be generators; only the form printed
+    is consumed.
+    """
     if fmt == "json":
-        print(json.dumps(json_meta))
+        print(json.dumps(doc))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(("k", "value"))
-        writer.writerows(pairs)
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        for k, v in pairs:
-            print(f"{k}: {v}")
+        for line in lines:
+            print(line)
+
+
+def _emit_record(fmt: str, record: dict, text_key: str) -> None:
+    # One result: the record is the JSON object, its keys the CSV header
+    # and its values the one CSV row; text prints record[text_key].
+    _emit(fmt, record, record, [record.values()], [record[text_key]])
+
+
+def _emit_indexed(fmt: str, doc: dict, values) -> None:
+    _emit(fmt, doc, ("k", "value"), enumerate(values), (f"{k}: {v}" for k, v in enumerate(values)))
 
 
 def _cmd_row(args, cache_dir) -> int:
     coeffs = _row_coeffs(args.n, 0, cache_dir, args.engine)
-    meta = {"n": args.n, "shift": 0, "engine": args.engine, "coeffs": list(coeffs)}
-    _emit_indexed(list(enumerate(coeffs)), args.format, meta)
+    doc = {"n": args.n, "shift": 0, "engine": args.engine, "coeffs": list(coeffs)}
+    _emit_indexed(args.format, doc, coeffs)
     return 0
 
 
@@ -180,32 +198,21 @@ def _cmd_value(args, cache_dir) -> int:
         value = _row_coeffs(args.n, 0, cache_dir, k=args.k)
     else:
         value = 0
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "k": args.k, "value": value}))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("n", "k", "value"))
-        writer.writerow((args.n, args.k, value))
-    else:
-        print(value)
+    _emit_record(args.format, {"n": args.n, "k": args.k, "value": value}, "value")
     return 0
 
 
 def _cmd_shifted(args, cache_dir) -> int:
     if args.m < 0:
         raise DomainError(f"shift must be >= 0, got {args.m}")
-    if args.k is not None:
-        if not 0 <= args.k <= args.n:
-            raise DomainError(f"need 0 <= k <= n, got k={args.k}")
-        value = _row_coeffs(args.n, args.m, cache_dir, k=args.k)
-        if args.format == "json":
-            print(json.dumps({"m": args.m, "n": args.n, "k": args.k, "value": value}))
-        else:
-            print(value)
+    if args.k is None:
+        coeffs = _row_coeffs(args.n, args.m, cache_dir)
+        _emit_indexed(args.format, {"m": args.m, "n": args.n, "coeffs": list(coeffs)}, coeffs)
         return 0
-    coeffs = _row_coeffs(args.n, args.m, cache_dir)
-    meta = {"m": args.m, "n": args.n, "coeffs": list(coeffs)}
-    _emit_indexed(list(enumerate(coeffs)), args.format, meta)
+    if not 0 <= args.k <= args.n:
+        raise DomainError(f"need 0 <= k <= n, got k={args.k}")
+    value = _row_coeffs(args.n, args.m, cache_dir, k=args.k)
+    _emit_record(args.format, {"m": args.m, "n": args.n, "k": args.k, "value": value}, "value")
     return 0
 
 
@@ -221,79 +228,43 @@ def _parse_rational(text: str) -> tuple[int, int]:
 
 def _cmd_valuation(args, cache_dir) -> int:
     v = vp_rat(args.p, _parse_rational(args.x))
-    if args.format == "json":
-        print(json.dumps({"p": args.p, "x": args.x, "valuation": _jsonable(v)}))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("p", "x", "valuation"))
-        writer.writerow((args.p, args.x, _val_str(v)))
-    else:
-        print(_val_str(v))
+    _emit_record(args.format, {"p": args.p, "x": args.x, "valuation": _jsonable(v)}, "valuation")
     return 0
 
 
 def _cmd_predict(args, cache_dir) -> int:
-    record = predict_valuation(args.n, args.t)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": record.n,
-                    "t": record.t,
-                    "predicted": record.predicted,
-                    "source": record.source,
-                }
-            )
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("n", "t", "predicted", "source"))
-        writer.writerow((record.n, record.t, record.predicted, record.source))
-    else:
-        print(record.predicted)
+    _emit_record(args.format, asdict(predict_valuation(args.n, args.t)), "predicted")
     return 0
 
 
 def _cmd_harmonic(args, cache_dir) -> int:
     table = harmonic_mod.harmonic_table(args.n)
-    if args.k is not None:
-        if not 0 <= args.k <= args.n:
-            raise DomainError(f"need 0 <= k <= n, got k={args.k}")
-        value = table.values[args.k]
-        if args.format == "json":
-            print(json.dumps({"n": args.n, "k": args.k, "value": str(value)}))
-        else:
-            print(value)
+    if args.k is None:
+        doc = {"n": args.n, "values": [str(v) for v in table.values]}
+        _emit_indexed(args.format, doc, table.values)
         return 0
-    meta = {"n": args.n, "values": [str(v) for v in table.values]}
-    _emit_indexed([(k, v) for k, v in enumerate(table.values)], args.format, meta)
+    if not 0 <= args.k <= args.n:
+        raise DomainError(f"need 0 <= k <= n, got k={args.k}")
+    value = str(table.values[args.k])
+    _emit_record(args.format, {"n": args.n, "k": args.k, "value": value}, "value")
     return 0
 
 
 def _cmd_scan(args, cache_dir) -> int:
-    records = harmonic_mod.conjecture_scan(args.p, args.k, args.n_max)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"n": n, "valuation": _jsonable(v), "ratio": ratio}
-                    for n, v, ratio in records
-                ]
-            )
-        )
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("n", "valuation", "ratio"))
-        for n, v, ratio in records:
-            writer.writerow((n, _val_str(v), repr(ratio)))
-    else:
-        for n, v, ratio in records:
-            print(f"{n} {_val_str(v)} {ratio:.6f}")
+    header = ("n", "valuation", "ratio")
+    scan = harmonic_mod.conjecture_scan(args.p, args.k, args.n_max)
+    rows = [(n, _jsonable(v), ratio) for n, v, ratio in scan]
+    lines = (f"{n} {v} {ratio:.6f}" for n, v, ratio in rows)
+    _emit(args.format, [dict(zip(header, row)) for row in rows], header, rows, lines)
     return 0
 
 
-def _report_json(report: CheckReport) -> dict:
-    return {
+def _cmd_verify(args, cache_dir) -> int:
+    checks = "all" if args.suite == "all" else [args.suite]
+    report = run_suite(args.n_min, args.n_max, checks, jobs=args.jobs)
+    failures = report.failures
+    elapsed_ms = int(report.elapsed * 1000)
+    doc = {
         "suite": report.suite,
         "range": list(report.range),
         "total": report.total,
@@ -307,41 +278,26 @@ def _report_json(report: CheckReport) -> dict:
                 "actual": _jsonable(r.actual),
                 "passed": r.passed,
             }
-            for r in report.failures
+            for r in failures
         ],
-        "elapsed_ms": int(report.elapsed * 1000),
+        "elapsed_ms": elapsed_ms,
     }
-
-
-def _emit_report(report: CheckReport, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(_report_json(report)))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(("check_id", "n", "instance", "expected", "actual", "passed"))
-        for r in report.failures:
-            writer.writerow(
-                (r.check_id, r.instance[0], repr(r.instance), r.expected, _val_str(r.actual), r.passed)
-            )
-    else:
-        status = "PASS" if not report.failures else "FAIL"
-        print(
-            f"{status} suite={report.suite} range={report.range} total={report.total} "
-            f"failures={report.failures_total} elapsed_ms={int(report.elapsed * 1000)} "
-            f"engine={report.ground_truth_engine}"
-        )
-        for r in report.failures:
-            print(
-                f"  FAIL {r.check_id} instance={r.instance} "
-                f"expected={r.expected} actual={_val_str(r.actual)}"
-            )
-
-
-def _cmd_verify(args, cache_dir) -> int:
-    checks = "all" if args.suite == "all" else [args.suite]
-    report = run_suite(args.n_min, args.n_max, checks, jobs=args.jobs)
-    _emit_report(report, args.format)
-    return 1 if report.failures else 0
+    header = ("check_id", "n", "instance", "expected", "actual", "passed")
+    rows = (
+        (r.check_id, r.instance[0], repr(r.instance), r.expected, r.actual, r.passed)
+        for r in failures
+    )
+    lines = [
+        f"{'FAIL' if failures else 'PASS'} suite={report.suite} range={report.range} "
+        f"total={report.total} failures={report.failures_total} elapsed_ms={elapsed_ms} "
+        f"engine={report.ground_truth_engine}",
+        *(
+            f"  FAIL {r.check_id} instance={r.instance} expected={r.expected} actual={r.actual}"
+            for r in failures
+        ),
+    ]
+    _emit(args.format, doc, header, rows, lines)
+    return 1 if failures else 0
 
 
 _COMMANDS = {
@@ -375,9 +331,8 @@ def dispatch(argv) -> int:
     # way to read the old value back.
     if _MALLOPT is not None:
         _MALLOPT(_M_MMAP_THRESHOLD, 128 * 1024)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # global flags use SUPPRESS so a value given before the subcommand

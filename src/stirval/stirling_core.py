@@ -35,7 +35,7 @@ import decimal
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 
@@ -223,7 +223,30 @@ def shifted_row_expand(m: int, n: int) -> ShiftedRow:
     return ShiftedRow(m, n, tuple(_expand_range(m, m + n)))
 
 
-@lru_cache(maxsize=32)
+def _capped_cache(maxsize: int, check):
+    """lru_cache that runs check(*args) before every lookup.
+
+    A bare lru_cache reaches the row cap only on a miss, inside the
+    engines, so a row cached under a raised cap would still be served
+    after the cap drops back. Every row cache, here and in the
+    verifier, is built by this.
+    """
+
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+
+        @wraps(build)
+        def lookup(*args):
+            check(*args)
+            return cached(*args)
+
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+
+    return decorate
+
+
+@_capped_cache(32, _check_row_args)
 def _cached_coeffs(n: int, shift: int) -> tuple[int, ...]:
     # Memoized product-tree rows keyed by (n, shift). lru_cache gives
     # the single-writer/concurrent-reader safety the accessors need.

@@ -33,13 +33,13 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .formulas import predict_valuation
 from .harmonic import bound_margin
 from .padic import INFINITE, vp_int
 from .stirling_core import (
+    _capped_cache,
     _check_row_args,
     _expand_chain,
     _poly_mul,
@@ -107,28 +107,6 @@ class _Collector:
     def report(self, suite: str, sweep: tuple, started: float) -> CheckReport:
         ordered = sorted(self.failures, key=lambda r: (r.check_id, r.instance))
         return CheckReport(suite, sweep, self.total, self.failed, ordered, time.perf_counter() - started)
-
-
-def _capped_cache(maxsize: int, check):
-    """lru_cache that runs check(*args) before every lookup.
-
-    A bare lru_cache reaches the row cap only on a miss, inside the
-    engines, so a row cached under a raised cap would still be served
-    after the cap drops back.
-    """
-
-    def decorate(build):
-        cached = lru_cache(maxsize=maxsize)(build)
-
-        @wraps(build)
-        def lookup(*args):
-            check(*args)
-            return cached(*args)
-
-        lookup.cache_clear = cached.cache_clear
-        return lookup
-
-    return decorate
 
 
 @_capped_cache(256, _check_row_args)
@@ -349,9 +327,12 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
     with both axes set to n_max. Per-n checks are skipped for n below
     their smallest valid argument. jobs > 1 fans independent tasks out
     to worker processes; the merged report is identical either way.
+    jobs=None uses every available core.
     """
     if n_min < 1 or n_min > n_max:
         raise DomainError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
+    if jobs is not None and jobs < 1:
+        raise DomainError(f"need jobs >= 1, got {jobs}")
     if checks == "all":
         selected = list(SUITE_IDS)
     else:

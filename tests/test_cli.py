@@ -67,6 +67,23 @@ class TestValueAndRow:
         assert code_a == code_b == 0 and out_a == out_b
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    (
+        (("value", "--n", "8", "--k", "5"), "n,k,value\r\n8,5,1960\r\n"),
+        (("value", "--n", "5", "--k", "9"), "n,k,value\r\n5,9,0\r\n"),
+        (("valuation", "--p", "2", "--x", "35/24"), "p,x,valuation\r\n2,35/24,-3\r\n"),
+        (("valuation", "--p", "3", "--x", "0/7"), "p,x,valuation\r\n3,0/7,inf\r\n"),
+        (("predict", "--n", "3", "--t", "5"), "n,t,predicted,source\r\n3,5,3,theorem1\r\n"),
+        (("shifted", "--m", "4", "--n", "4", "--k", "3"), "m,n,k,value\r\n4,4,3,22\r\n"),
+        (("harmonic", "--n", "4", "--k", "2"), "n,k,value\r\n4,2,35/24\r\n"),
+    ),
+    ids=("value", "value-zero", "valuation", "valuation-inf", "predict", "shifted-k", "harmonic-k"),
+)
+def test_single_value_csv_is_header_and_one_row(capsys, argv, expected):
+    assert run(capsys, *argv, "--format", "csv") == (0, expected, "")
+
+
 class TestShifted:
     def test_full_row(self, capsys):
         code, out, _ = run(capsys, "shifted", "--m", "4", "--n", "4")
@@ -159,6 +176,14 @@ class TestHarmonicAndScan:
         assert lines[1].startswith("2 -1 1.44")
         assert lines[3].startswith("4 -2 1.44")
 
+    def test_scan_json(self, capsys):
+        code, out, _ = run(capsys, "scan", "--p", "2", "--k", "1", "--n-max", "2", "--format", "json")
+        assert code == 0
+        assert out == (
+            '[{"n": 1, "valuation": 0, "ratio": 0.0}, '
+            '{"n": 2, "valuation": -1, "ratio": 1.4426950408889634}]\n'
+        )
+
     def test_scan_csv(self, capsys):
         code, out, _ = run(capsys, "scan", "--p", "2", "--k", "2", "--n-max", "3", "--format", "csv")
         assert code == 0
@@ -201,6 +226,17 @@ class TestVerifyCommand:
         assert rows[0] == ["check_id", "n", "instance", "expected", "actual", "passed"]
         assert len(rows) == 3  # two interior columns fail
         assert all(r[0] == "theorem1" and r[5] == "False" for r in rows[1:])
+        code, out, _ = run(
+            capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "2", "--jobs", "1"
+        )
+        assert code == 1
+        head, *lines = out.splitlines()
+        assert head.startswith("FAIL suite=theorem1 range=(2, 2) total=4 failures=2 elapsed_ms=")
+        assert head.endswith(" engine=recurrence+product_tree")
+        assert lines == [
+            "  FAIL theorem1 instance=(2, 1) expected=2 actual=1",
+            "  FAIL theorem1 instance=(2, 2) expected=1 actual=0",
+        ]
 
     def test_true_failure_count_past_cap(self, capsys, monkeypatch):
         original = formulas_mod.theorem1_valuation
@@ -236,6 +272,11 @@ class TestVerifyCommand:
             reports.append(report)
         assert reports[0]["total"] > 0
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("jobs", ("0", "-4"))
+    def test_bad_jobs_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "verify", "--suite", "theorem1", "--n-max", "2", "--jobs", jobs)
+        assert code == 2 and out == "" and "jobs" in err
 
     def test_bad_suite_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
@@ -331,7 +372,11 @@ class TestSingleCoefficientHits:
 
     @pytest.mark.parametrize("request_argv", REQUESTS)
     @pytest.mark.parametrize("fmt", ("text", "json", "csv"))
-    def test_hit_prints_as_miss(self, capsys, tmp_path, request_argv, fmt):
+    def test_hit_prints_as_miss(self, capsys, tmp_path, monkeypatch, request_argv, fmt):
+        def no_rebuild():
+            raise AssertionError("dispatch rebuilt the parser")
+
+        monkeypatch.setattr(cli_mod, "build_parser", no_rebuild)
         argv = (*request_argv, "--format", fmt, "--cache-dir", str(tmp_path))
         code, miss, _ = run(capsys, *argv)
         assert code == 0 and len(list(tmp_path.iterdir())) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import stirval.stirling_core as stirling_mod
 from stirval.errors import DomainError, ResourceLimitError
+from stirval.harmonic import bound_margin
 from stirval.stirling_core import (
     ShiftedRow,
     StirlingRow,
@@ -147,6 +148,16 @@ class TestStirlingAccessor:
     def test_rejects_negative_n(self):
         with pytest.raises(DomainError):
             stirling(-1, 0)
+
+    def test_cached_rows_refused_above_lowered_cap(self, monkeypatch):
+        # rows 16 and 5 are cached under the default cap first
+        assert stirling(16, 3) == 6165817614720
+        assert lemma21_rhs(16, 3) == 6165817614720
+        assert bound_margin(2, 1) == 0
+        monkeypatch.setattr(stirling_mod, "ROW_CAP", 4)
+        for call in (lambda: stirling(16, 3), lambda: lemma21_rhs(16, 3), lambda: bound_margin(2, 1)):
+            with pytest.raises(ResourceLimitError):
+                call()
 
 
 class TestShiftedRows:

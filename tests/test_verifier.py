@@ -257,6 +257,11 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite(0, 2, "all", jobs=1)
 
+    @pytest.mark.parametrize("jobs", (0, -4))
+    def test_bad_jobs_rejected(self, jobs):
+        with pytest.raises(DomainError, match="jobs"):
+            run_suite(2, 2, "all", jobs=jobs)
+
     def test_parallel_matches_serial(self):
         serial = run_suite(2, 4, "all", jobs=1)
         with warnings.catch_warnings():
