@@ -22,12 +22,21 @@ converts only that line from hex, but checks the file exactly as a
 full load does: the header, the line count and the checksum over the
 whole payload, plus the key of the line it reads. Only a file that
 passes every check is served, in part or in full.
+
+A row is stored as it was built, by either of two routes in the CLI:
+a product-tree expansion, or, on the int backend for n below
+stirling_core._CHAIN_BELOW_N, the largest smaller cached row of the
+same shift that passes a full load, extended by recurrence steps.
+Neither kind is checked against the other engine; the checksum guards
+only the file. stored_rows lists the candidates for the second route
+by file name.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -82,6 +91,28 @@ def _payload(coeffs: tuple[int, ...]) -> bytes:
 
 def entry_path(n: int, shift: int, directory: str) -> str:
     return os.path.join(directory, f"row_s{shift}_n{n}.stirval")
+
+
+_ENTRY_NAME = re.compile(r"row_s[0-9]+_n([0-9]+)\.stirval")
+
+
+def stored_rows(shift: int, directory: str) -> list[int]:
+    """The n of every file in directory that entry_path(n, shift, directory) names.
+
+    Only names are read, so each row must still pass cache_load. Temp
+    files, other shifts and names entry_path would not write (such as
+    n with a leading zero) are left out; a missing directory holds none.
+    """
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    found = []
+    for name in names:
+        match = _ENTRY_NAME.fullmatch(name)
+        if match and entry_path(int(match[1]), shift, directory) == os.path.join(directory, name):
+            found.append(int(match[1]))
+    return found
 
 
 def cache_store(entry: CacheEntry, directory: str) -> None:

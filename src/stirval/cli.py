@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from . import harmonic as harmonic_mod
 from . import stirling_core as stirling_mod
-from .cache import CacheEntry, cache_load, cache_store
+from .cache import CacheEntry, cache_load, cache_store, stored_rows
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .formulas import predict_valuation
 from .padic import INFINITE, vp_rat
@@ -127,6 +127,26 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _extend_cached(n: int, shift: int, cache_dir: str) -> tuple[int, ...] | None:
+    """Row (n, shift) built from the largest cached row (m, shift) with
+    m < n, or None when none loads or the product tree is faster.
+
+    Row (m, shift) holds the coefficients of (x+shift)_m, so
+    (x+shift+m)...(x+shift+n-1) times it is row (n, shift); those are
+    recurrence steps. Only on the int backend below _CHAIN_BELOW_N do
+    they beat a fresh product tree, whatever m is. Candidates load
+    largest first, each fully checked; cache_load warns about a corrupt
+    one, which is then passed over, not deleted.
+    """
+    if stirling_mod._mpz is not int or n >= stirling_mod._CHAIN_BELOW_N:
+        return None
+    for m in sorted((m for m in stored_rows(shift, cache_dir) if m < n), reverse=True):
+        lower = cache_load(m, shift, cache_dir)
+        if lower is not None:
+            return tuple(stirling_mod._expand_chain(shift + m, shift + n, lower.coeffs))
+    return None
+
+
 def _row_coeffs(
     n: int, shift: int, cache_dir: str | None, engine: str = "product_tree", k: int | None = None
 ):
@@ -137,20 +157,25 @@ def _row_coeffs(
     hit for one coefficient converts only that line of the file.
     """
     stirling_mod._check_row_args(n, shift)
-    # The cache stores product-tree expansions as built, not checked
-    # against the recurrence; its checksum only guards the file. An
-    # explicit recurrence request always computes fresh.
+    # The cache stores product-tree expansions and rows extended from a
+    # smaller cached row by recurrence steps (_extend_cached), both as
+    # built: neither kind is checked against the other engine, and the
+    # checksum only guards the file. An explicit recurrence request
+    # always computes fresh.
     usable = cache_dir and engine == "product_tree"
+    coeffs = None
     if usable:
         hit = cache_load(n, shift, cache_dir, k=k)
         if hit is not None:
             return hit if k is not None else hit.coeffs
-    if shift:
-        coeffs = stirling_mod.shifted_row_expand(shift, n).coeffs
-    elif engine == "recurrence":
-        coeffs = stirling_mod.row_recurrence(n).coeffs
-    else:
-        coeffs = stirling_mod.row_product_tree(n).coeffs
+        coeffs = _extend_cached(n, shift, cache_dir)
+    if coeffs is None:
+        if shift:
+            coeffs = stirling_mod.shifted_row_expand(shift, n).coeffs
+        elif engine == "recurrence":
+            coeffs = stirling_mod.row_recurrence(n).coeffs
+        else:
+            coeffs = stirling_mod.row_product_tree(n).coeffs
     if usable:
         cache_store(CacheEntry.for_row(n, shift, coeffs), cache_dir)
     return coeffs if k is None else coeffs[k]

@@ -391,7 +391,9 @@ class TestSingleCoefficientHits:
         seen = []
         real = cache_mod._parse_coeff
         monkeypatch.setattr(cache_mod, "_parse_coeff", lambda line, k: seen.append(k) or real(line, k))
-        monkeypatch.setattr(stirling_mod, "row_product_tree", None)  # a hit builds nothing
+        # a hit builds nothing, fresh or from a lower row
+        for name in ("row_product_tree", "row_recurrence", "shifted_row_expand", "_times_linear"):
+            monkeypatch.setattr(stirling_mod, name, None)
         code, out, _ = run(capsys, "value", "--n", "8", "--k", "5", "--cache-dir", str(tmp_path))
         assert code == 0 and out.strip() == "1960"
         assert seen == [5]
@@ -449,3 +451,122 @@ class TestSingleCoefficientHits:
         assert code == 0 and len(list(tmp_path.iterdir())) == 1
         code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path), "--max-n", "20")
         assert code == 3 and out == "" and "cap" in err
+
+
+def _forbid_trees(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a product tree")
+
+    monkeypatch.setattr(stirling_mod, "row_product_tree", refuse)
+    monkeypatch.setattr(stirling_mod, "shifted_row_expand", refuse)
+
+
+def _spy_loads(monkeypatch):
+    # (n, shift) of every cache_load the CLI makes. perfbench/tracer.py
+    # wraps cli.cache_load and unpacks exactly (n, shift, directory).
+    loads = []
+    real = cli_mod.cache_load
+
+    def spy(*args, **kwargs):
+        n, shift, directory = args
+        loads.append((n, shift))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "cache_load", spy)
+    return loads
+
+
+class TestMissFromLowerRow:
+    """A miss on row (n, shift) extends the largest cached row (m < n, shift)."""
+
+    @pytest.fixture(autouse=True)
+    def int_backend(self, monkeypatch):
+        # The route is taken only on the int backend; run the tests on it
+        # under gmpy2 as well (its products stay exact either way).
+        monkeypatch.setattr(stirling_mod, "_mpz", int)
+
+    @pytest.mark.parametrize(
+        "build",
+        (("row", "--n"), ("shifted", "--m", "5", "--n")),
+        ids=("plain", "shifted"),
+    )
+    def test_extended_row_equals_fresh_build(self, capsys, tmp_path, monkeypatch, build):
+        warm, fresh = tmp_path / "warm", tmp_path / "fresh"
+        assert run(capsys, *build, "13", "--cache-dir", str(warm))[0] == 0
+        code, expected, _ = run(capsys, *build, "40", "--format", "json", "--cache-dir", str(fresh))
+        assert code == 0
+        _forbid_trees(monkeypatch)
+        code, out, _ = run(capsys, *build, "40", "--format", "json", "--cache-dir", str(warm))
+        assert code == 0 and out == expected
+        name = os.path.basename(cache_mod.entry_path(40, 5 if build[0] == "shifted" else 0, ""))
+        assert (warm / name).read_bytes() == (fresh / name).read_bytes()
+        if build[0] == "row":
+            assert json.loads(out)["coeffs"] == list(stirling_mod.row_recurrence(40).coeffs)
+
+    def test_largest_lower_row_is_used(self, capsys, tmp_path, monkeypatch):
+        for n in ("5", "20", "12"):
+            run(capsys, "value", "--n", n, "--k", "1", "--cache-dir", str(tmp_path))
+        loads = _spy_loads(monkeypatch)
+        _forbid_trees(monkeypatch)
+        code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(tmp_path))
+        assert code == 0 and int(out) == stirling_mod.row_recurrence(30).coeffs[7]
+        assert loads == [(30, 0), (20, 0)]
+
+    @pytest.mark.parametrize("lower", ((20,), (12, 20)), ids=("fresh", "next-lower"))
+    def test_corrupt_lower_row_is_skipped(self, capsys, tmp_path, monkeypatch, lower):
+        for n in lower:
+            run(capsys, "row", "--n", str(n), "--cache-dir", str(tmp_path))
+        path = tmp_path / "row_s0_n20.stirval"
+        data = bytearray(path.read_bytes())
+        data[-2] ^= 0x04
+        path.write_bytes(bytes(data))
+        loads = _spy_loads(monkeypatch)
+        with pytest.warns(UserWarning, match="corrupt"):
+            code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(tmp_path))
+        assert code == 0 and int(out) == stirling_mod.row_recurrence(30).coeffs[7]
+        assert loads == [(30, 0), *((m, 0) for m in sorted(lower, reverse=True))]
+        assert path.read_bytes() == bytes(data)  # passed over, not deleted
+        assert cache_mod.cache_load(30, 0, str(tmp_path)).coeffs == stirling_mod.row_recurrence(30).coeffs
+
+    def test_other_shifts_tmp_files_and_higher_rows_are_ignored(self, capsys, tmp_path, monkeypatch):
+        run(capsys, "shifted", "--m", "1", "--n", "20", "--cache-dir", str(tmp_path))
+        run(capsys, "row", "--n", "40", "--cache-dir", str(tmp_path))
+        run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
+        row_20 = tmp_path / "row_s0_n20.stirval"
+        for name in ("row_s0_n020.stirval", "row_s00_n20.stirval", "row_s0_n20.stirval.tmp", "tmp1x.tmp"):
+            (tmp_path / name).write_bytes(row_20.read_bytes())
+        row_20.unlink()
+        loads = _spy_loads(monkeypatch)
+        code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(tmp_path))
+        assert code == 0 and int(out) == stirling_mod.row_recurrence(30).coeffs[7]
+        assert loads == [(30, 0)]
+
+    def test_missing_cache_dir(self, capsys, tmp_path):
+        cache_dir = tmp_path / "not" / "yet"
+        code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(cache_dir))
+        assert code == 0 and int(out) == stirling_mod.row_recurrence(30).coeffs[7]
+        assert (cache_dir / "row_s0_n30.stirval").exists()
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        (("_CHAIN_BELOW_N", 30), ("_mpz", type("mpz", (int,), {}))),
+        ids=("at-crossover", "not-int-backend"),
+    )
+    def test_product_tree_where_the_chain_loses(self, capsys, tmp_path, monkeypatch, attr, value):
+        run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
+        monkeypatch.setattr(stirling_mod, attr, value)
+        built = []
+        real = stirling_mod.row_product_tree
+        monkeypatch.setattr(stirling_mod, "row_product_tree", lambda n: built.append(n) or real(n))
+        loads = _spy_loads(monkeypatch)
+        code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(tmp_path))
+        assert code == 0 and int(out) == stirling_mod.row_recurrence(30).coeffs[7]
+        assert built == [30] and loads == [(30, 0)]
+
+    def test_max_n_refuses_before_any_lower_row_is_read(self, capsys, tmp_path, monkeypatch):
+        run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
+        loads = _spy_loads(monkeypatch)
+        monkeypatch.setattr(cli_mod, "stored_rows", None)
+        code, out, err = run(capsys, "value", "--n", "30", "--k", "7", "--max-n", "25", "--cache-dir", str(tmp_path))
+        assert code == 3 and out == "" and "cap" in err
+        assert loads == []
