@@ -96,16 +96,23 @@ def bound_margin(n: int, k: int, *, row: Sequence[int] | None = None) -> Valuati
     additivity of valuations give v2(H(N,k)) = v2(s(N+1, k+1)) - v2(N!).
     For 1 <= k <= N the Stirling number s(N+1, k+1) is positive, so its
     valuation is finite. Legendre's formula gives v2(N!) = N - d2(N) =
-    2**n - 1 without forming N!. Nothing is truncated, so the result is
-    the one the rational table gives; identity_residual checks the
-    identity itself against that table.
+    2**n - 1 without forming N!. On an exact row nothing is truncated,
+    so the result is the one the rational table gives;
+    identity_residual checks the identity itself against that table.
+
+    The row may also hold residues: column j known only modulo some
+    2**b_j, as in the verifier's truncated row. A nonzero residue has
+    the exact valuation, so the margin is exact. A zero residue reads as
+    INFINITE, and the margin then fails the <= 0 claim, so a column the
+    residues do not resolve can never pass the bound.
 
     Args:
         n: Row exponent, n >= 1.
         k: Column, 1 <= k <= 2**n.
-        row: The coefficients s(2**n + 1, 0..2**n + 1), when the caller
-            already holds them (the verifier passes its cross-checked
-            row). Without it the row comes from stirling().
+        row: The coefficients s(2**n + 1, 0..2**n + 1), or residues of
+            them, when the caller already holds them (the verifier
+            passes its cross-checked truncated row). Without it the
+            exact row comes from stirling().
 
     Raises:
         DomainError: If n < 1, k is outside 1..2**n, or row does not

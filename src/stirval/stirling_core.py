@@ -27,6 +27,12 @@ Coefficients reach hundreds of kilobits near the configured cap, so
 rows are handled as flat lists and multiplied via Kronecker
 substitution (pack the coefficients of a polynomial into one giant
 integer, multiply once, slice the product back apart).
+
+Two masked routes keep column k only modulo a power of two that does
+not grow with k: _chain_masked (the recurrence steps) and
+_expand_range with masks (the product tree). They reuse the exact
+routes' steps and reduce between them; the verifier builds its
+2-adically truncated rows with both and argues their soundness.
 """
 
 from __future__ import annotations
@@ -180,7 +186,9 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     packs stay on bytes and int. Either route is then checked
     independently: verifier._verified_plain_coeffs compares every
     product-tree row it uses against the recurrence, which never packs
-    and multiplies each coefficient only by a row index.
+    and multiplies each coefficient only by a row index, and the
+    verifier's truncated rows compare the masked tree with the masked
+    recurrence the same way.
     """
     if min(len(a), len(b)) <= _SCHOOLBOOK_LEN:
         out = [0] * (len(a) + len(b) - 1)
@@ -212,12 +220,45 @@ def _expand_chain(lo: int, hi: int, start: Sequence[int] = (1,)) -> list[int]:
     return coeffs
 
 
-def _expand_range(lo: int, hi: int) -> list[int]:
+def _expand_range(lo: int, hi: int, masks: Sequence[int] | None = None) -> list[int]:
+    # Balanced expansion of prod_{c in [lo, hi)} (x + c). With masks,
+    # every node, leaves and root included, is reduced by _masked.
     count = hi - lo
     if count < _TREE_BASE:
-        return _expand_chain(lo, hi)
-    mid = lo + count // 2
-    return _poly_mul(_expand_range(lo, mid), _expand_range(mid, hi))
+        out = _expand_chain(lo, hi)
+    else:
+        mid = lo + count // 2
+        out = _poly_mul(_expand_range(lo, mid, masks), _expand_range(mid, hi, masks))
+    return out if masks is None else _masked(out, masks)
+
+
+# The masked recurrence reduces its row once per this many steps; in
+# between, each coefficient grows by at most this many times the bit
+# length of the largest factor, which stays small beside the masks.
+_MASK_EVERY = 32
+
+
+def _masked(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
+    """Column k of coeffs reduced modulo masks[k] + 1 (a power of two).
+
+    Reduction mod 2**b is a ring homomorphism, and column k of a
+    product reads only columns <= k of its factors. So when the masks
+    never grow with k, reducing after every product leaves each kept
+    residue exactly what reducing the exact product would give.
+    """
+    return [c & m for c, m in zip(coeffs, masks)]
+
+
+def _chain_masked(lo: int, hi: int, masks: Sequence[int]) -> list[int]:
+    """prod_{c in [lo, hi)} (x + c) by recurrence steps, reduced by masks.
+
+    The steps are _expand_chain's; the row is reduced after every
+    _MASK_EVERY steps and after the last one.
+    """
+    coeffs = [1]
+    for c in range(lo, hi, _MASK_EVERY):
+        coeffs = _masked(_expand_chain(c, min(c + _MASK_EVERY, hi), coeffs), masks)
+    return coeffs
 
 
 def row_product_tree(n: int) -> StirlingRow:

@@ -1,17 +1,10 @@
-"""Brute-force verification of the valuation claims against exact rows.
+"""Brute-force verification of the valuation claims.
 
-Every check follows the same shape: build the relevant rows exactly,
-derive the claimed quantity, compare. Every row built from scratch,
-row 2**n among them, is computed by BOTH engines (recurrence and
-product tree), which must agree coefficientwise before any claim is
-evaluated. Row 2**n + 1 is not built from scratch: it is lifted from
-the cross-checked row 2**n by one multiply with (x + 2**n), done twice
-by code the two paths do not share (see _verified_lifted_coeffs).
-Shifted rows are likewise expanded twice, once balanced and once
-sequentially. A report carries the total number of instances checked,
-the true number that failed, and a sample of the failing ones
-(capped), never just the first failure, because diagnosing a
-systematic off-by-one needs the full pattern.
+Every check follows the same shape: build the relevant rows, derive
+the claimed quantity, compare. A report carries the total number of
+instances checked, the true number that failed, and a sample of the
+failing ones (capped), never just the first failure, because
+diagnosing a systematic off-by-one needs the full pattern.
 
 Available checks:
 
@@ -24,10 +17,57 @@ Available checks:
                 at column 1, harmonic upper bound (read from the integer
                 row 2**n + 1 via n! * H(n,k) = s(n+1,k+1), not from the
                 rational table)
+
+Ground truth for identities is exact. Every row is computed by BOTH
+engines (recurrence and product tree), which must agree
+coefficientwise; shifted rows are expanded twice, once balanced and
+once sequentially.
+
+The other five suites read only 2-adic valuations, so their ground
+truth is truncated: column k of row N = 2**n is kept only modulo
+2**B_k. Why that is sound:
+
+  Precision. B_k = (max over j >= k of predict_valuation(n, j)) + 3,
+      and B_0 = B_1, computed once per n (_precisions). B never grows
+      with k. The margin of 3 lets a zero residue prove lemma24's lift
+      bound v2 >= v2(s(N, t)) + 2.
+  Masking is exact. Reduction mod 2**b is a ring homomorphism, and
+      column k of a product reads only columns <= k of its factors,
+      each kept modulo 2**B_j with B_j >= B_k. So reducing column k
+      mod 2**B_k after every product leaves every kept residue equal
+      to the exact coefficient's residue.
+  Two routes. Row N and the shifted row (x + N)_N are each built by
+      the masked recurrence and the masked product tree
+      (stirling_core._chain_masked, _expand_range with masks), which
+      must agree. Before a row is cached it must also meet invariants
+      that neither route computes, mod 2**B_k: s(N, 0) = 0,
+      s(N, 1) = (N-1)! and s(N, N) = 1; s_N(N, 0) = (2N-1)!/(N-1)!
+      and s_N(N, N) = 1. The shifted row uses row N's B; by Lemma 2.4
+      its valuations are row N's.
+  Lifted row. Row N + 1 is row N times (x + N), computed by two paths
+      (_truncated_lifted). Column k + 1 is N * r[k+1] + r[k], known
+      modulo 2**min(B_k, B_{k+1} + n).
+  Reading a residue (_v2_mod). A nonzero residue mod 2**b gives the
+      exact valuation. A zero residue proves only v2 >= b: it fails
+      every equality and every upper bound, and passes a lower bound
+      only when b meets that bound. A bound drawn from an unresolved
+      column fails, and two unresolved sides never pass an equality.
+      The harmonic bound reads a zero residue as INFINITE, which fails
+      <= 0.
+  Wrong predictions cannot pass. Every pass is implied by true facts
+      about the exact numbers, whatever B is; B decides only how many
+      columns resolve. Since B comes from the predictions under test,
+      a wrong prediction gives either a resolved mismatch or an
+      unresolved column, and both are failures. While the predictions
+      hold, every column of row N resolves (B_k >= v2 + 3), and so
+      does every column of row N + 1 (Theorem 2 and the drop bound
+      put its valuations below min(B_k, B_{k+1} + n)). The truncated
+      rows then pass and fail exactly the checks that exact rows do.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 import warnings
@@ -37,11 +77,14 @@ from dataclasses import dataclass, field
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .formulas import predict_valuation
 from .harmonic import bound_margin
-from .padic import INFINITE, vp_int
+from .padic import INFINITE, Valuation, vp_int
 from .stirling_core import (
     _capped_cache,
+    _chain_masked,
     _check_row_args,
     _expand_chain,
+    _expand_range,
+    _masked,
     _poly_mul,
     _times_linear,
     convolution_rhs,
@@ -53,7 +96,9 @@ from .stirling_core import (
 )
 
 FAILURE_CAP = 100
-GROUND_TRUTH_ENGINE = "recurrence+product_tree"
+# Both engines build the ground truth; the five valuation suites read
+# it modulo 2**B_k (see the module docstring), identities exactly.
+GROUND_TRUTH_ENGINE = "recurrence+product_tree,mod2^B"
 SUITE_IDS = ("theorem1", "theorem2", "lemma24", "lemma25", "identities", "inequalities")
 
 # Smallest n each per-n check is defined for; run_suite skips below it.
@@ -118,26 +163,6 @@ def _verified_plain_coeffs(n: int) -> tuple[int, ...]:
     return rec.coeffs
 
 
-@_capped_cache(256, lambda n: _check_row_args(n + 1))
-def _verified_lifted_coeffs(n: int) -> tuple[int, ...]:
-    """Row n + 1, lifted from the cross-checked row n.
-
-    Sound because row n + 1 is exactly row n times (x + n), the
-    rising factorial's next factor. Row n itself comes from both whole
-    engines, which must agree. The one step is then computed twice by
-    paths that share no code: _times_linear (the recurrence step) and
-    _poly_mul with a two-term operand (its schoolbook branch). So both
-    parts of the lifted row, row n and the last step, are computed
-    twice by independent code, at the cost of one step instead of two
-    whole rows.
-    """
-    base = _verified_plain_coeffs(n)
-    step = tuple(_times_linear(base, n))
-    if step != tuple(_poly_mul(list(base), [n, 1])):
-        raise ConsistencyError(f"lift paths disagree on row {n + 1}")
-    return step
-
-
 @_capped_cache(2048, lambda m, n: _check_row_args(n, m))
 def _verified_shifted_coeffs(m: int, n: int) -> tuple[int, ...]:
     tree = shifted_row_expand(m, n)
@@ -147,36 +172,152 @@ def _verified_shifted_coeffs(m: int, n: int) -> tuple[int, ...]:
     return tree.coeffs
 
 
+@dataclass(frozen=True)
+class _Truncated:
+    """A row whose column k is known only modulo 2**bits[k]."""
+
+    coeffs: tuple[int, ...]
+    bits: tuple[int, ...]
+
+    def v2(self, k: int) -> tuple[Valuation, bool]:
+        return _v2_mod(self.coeffs[k], self.bits[k])
+
+
+def _v2_mod(residue: int, bits: int) -> tuple[Valuation, bool]:
+    """(v, True) with v the exact v2, or (bits, False) when only v2 >= bits is known.
+
+    The number is known modulo 2**bits. A nonzero residue r fixes the
+    valuation: the number is r + 2**bits * q, and v2(r) < bits.
+    """
+    residue %= 1 << bits
+    return (vp_int(2, residue), True) if residue else (bits, False)
+
+
+def _same(a: tuple, b: tuple) -> bool:
+    # Equality needs both sides resolved: two unresolved sides never pass.
+    return a[1] and b[1] and a[0] == b[0]
+
+
+def _at_least(v: tuple, bound: tuple) -> bool:
+    # A resolved bound, met by the exact value or by the proven v >= bits.
+    return bound[1] and v[0] >= bound[0]
+
+
+def _at_most(v: tuple, bound: tuple) -> bool:
+    # An upper bound needs both sides resolved.
+    return v[1] and bound[1] and v[0] <= bound[0]
+
+
+def _shown(v: tuple):
+    return v[0] if v[1] else f">= {v[0]}"
+
+
+def _shown_bound(op: str, bound: tuple) -> str:
+    return f"{op} {bound[0]}" if bound[1] else "unresolved bound"
+
+
+def _precisions(n: int) -> tuple[int, ...]:
+    """B_0..B_N for row N = 2**n: B_k = max_{j >= k} predicted v2(s(N, j)) + 3, B_0 = B_1."""
+    top = 2 ** n
+    bits = [0] * (top + 1)
+    need = 0
+    for t in range(top, 0, -1):
+        need = max(need, predict_valuation(n, t).predicted)
+        bits[t] = need + 3
+    bits[0] = bits[1]
+    return tuple(bits)
+
+
+def _masks(bits: tuple[int, ...]) -> list[int]:
+    return [(1 << b) - 1 for b in bits]
+
+
+def _require(name: str, coeffs: list[int], masks: list[int], known: dict[int, int]) -> None:
+    # Invariants that neither masked route computes, checked mod 2**B_k.
+    for k, value in known.items():
+        if coeffs[k] != value & masks[k]:
+            raise ConsistencyError(f"truncated {name} fails its invariant at column {k}")
+
+
+@_capped_cache(32, lambda n: _check_row_args(2 ** n))
+def _truncated_plain(n: int) -> _Truncated:
+    """Row 2**n modulo 2**B_k, built by both masked routes, which must agree."""
+    top = 2 ** n
+    bits = _precisions(n)
+    masks = _masks(bits)
+    rec = _chain_masked(0, top, masks)
+    if rec != _expand_range(0, top, masks):
+        raise ConsistencyError(f"truncated routes disagree on row {top}")
+    _require(f"row {top}", rec, masks, {0: 0, 1: math.factorial(top - 1), top: 1})
+    return _Truncated(tuple(rec), bits)
+
+
+@_capped_cache(32, lambda n: _check_row_args(2 ** n, 2 ** n))
+def _truncated_shifted(n: int) -> _Truncated:
+    """Shifted row (x + 2**n)_{2**n} modulo 2**B_k, with row 2**n's B."""
+    top = 2 ** n
+    bits = _truncated_plain(n).bits
+    masks = _masks(bits)
+    chain = _chain_masked(top, 2 * top, masks)
+    if chain != _expand_range(top, 2 * top, masks):
+        raise ConsistencyError(f"truncated routes disagree on shifted row ({top}, {top})")
+    _require(f"shifted row ({top}, {top})", chain, masks, {0: math.perm(2 * top - 1, top), top: 1})
+    return _Truncated(tuple(chain), bits)
+
+
+@_capped_cache(32, lambda n: _check_row_args(2 ** n + 1))
+def _truncated_lifted(n: int) -> _Truncated:
+    """Row 2**n + 1, lifted from the truncated row 2**n.
+
+    Row N + 1 is row N times (x + N), the rising factorial's next
+    factor. The one step is computed twice by paths that share no
+    code: _times_linear (the recurrence step) and _poly_mul with a
+    two-term operand (its schoolbook branch). Column k + 1 of the
+    product is N * r[k+1] + r[k]; with N = 2**n, N * r[k+1] is known
+    modulo 2**(B_{k+1} + n) and r[k] modulo 2**B_k, so the column is
+    known modulo 2**min(B_k, B_{k+1} + n). Column 0 is N * r[0] and the
+    top column is r[N].
+    """
+    top = 2 ** n
+    base = _truncated_plain(n)
+    step = _times_linear(base.coeffs, top)
+    if step != _poly_mul(list(base.coeffs), [top, 1]):
+        raise ConsistencyError(f"lift paths disagree on row {top + 1}")
+    b = base.bits
+    bits = (b[0] + n, *(min(lo, hi + n) for lo, hi in zip(b, b[1:])), b[-1])
+    return _Truncated(tuple(_masked(step, _masks(bits))), bits)
+
+
 def check_theorem1(n: int) -> CheckReport:
-    """Compare predicted v2 against the actual row s(2**n, .)."""
+    """Compare predicted v2 against the truncated row s(2**n, .)."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    row = _verified_plain_coeffs(2 ** n)
+    row = _truncated_plain(n)
     for t in range(1, 2 ** n + 1):
         expected = predict_valuation(n, t).predicted
-        actual = vp_int(2, row[t])
-        col.add("theorem1", (n, t), expected, actual, expected == actual)
+        actual = row.v2(t)
+        col.add("theorem1", (n, t), expected, _shown(actual), _same((expected, True), actual))
     return col.report("theorem1", (n,), started)
 
 
 def check_theorem2(n: int) -> CheckReport:
     """Check v2(s(2**n + 1, k+1)) = v2(s(2**n, k)) for every k.
 
-    Row 2**n is built by both engines; row 2**n + 1 is lifted from it
-    by the two checked paths of _verified_lifted_coeffs.
+    Row 2**n is the truncated row of both masked routes; row 2**n + 1
+    is lifted from it by the two checked paths of _truncated_lifted.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    lifted = _verified_lifted_coeffs(2 ** n)
-    base = _verified_plain_coeffs(2 ** n)
+    lifted = _truncated_lifted(n)
+    base = _truncated_plain(n)
     for k in range(1, 2 ** n + 1):
-        expected = vp_int(2, base[k])
-        actual = vp_int(2, lifted[k + 1])
-        col.add("theorem2", (n, k), expected, actual, expected == actual)
+        expected = base.v2(k)
+        actual = lifted.v2(k + 1)
+        col.add("theorem2", (n, k), _shown(expected), _shown(actual), _same(expected, actual))
     return col.report("theorem2", (n,), started)
 
 
@@ -184,26 +325,28 @@ def check_lemma24(n: int) -> CheckReport:
     """Check the shifted row s_{2**n}(2**n, .) against the plain row.
 
     Two conditions per column t: equal valuations, and the difference
-    of the two numbers gains at least two extra factors of 2. A zero
-    difference has valuation INFINITE and passes trivially.
+    of the two numbers gains at least two extra factors of 2. The
+    difference is known modulo 2**B_t, so a zero residue proves only
+    v2 >= B_t, which meets the bound whenever the predictions hold.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    plain = _verified_plain_coeffs(2 ** n)
-    shifted = _verified_shifted_coeffs(2 ** n, 2 ** n)
+    plain = _truncated_plain(n)
+    shifted = _truncated_shifted(n)
     for t in range(1, 2 ** n + 1):
-        v_plain = vp_int(2, plain[t])
-        v_shift = vp_int(2, shifted[t])
-        col.add("lemma24", (n, t, "eq"), v_plain, v_shift, v_plain == v_shift)
-        v_diff = vp_int(2, shifted[t] - plain[t])
+        v_plain = plain.v2(t)
+        v_shift = shifted.v2(t)
+        col.add("lemma24", (n, t, "eq"), _shown(v_plain), _shown(v_shift), _same(v_plain, v_shift))
+        v_diff = _v2_mod(shifted.coeffs[t] - plain.coeffs[t], plain.bits[t])
+        bound = (v_plain[0] + 2, v_plain[1])
         col.add(
             "lemma24",
             (n, t, "lift"),
-            f">= {v_plain + 2}",
-            v_diff,
-            v_diff >= v_plain + 2,
+            _shown_bound(">=", bound),
+            _shown(v_diff),
+            _at_least(v_diff, bound),
         )
     return col.report("lemma24", (n,), started)
 
@@ -214,11 +357,12 @@ def check_lemma25(n: int) -> CheckReport:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    row = _verified_plain_coeffs(2 ** n)
+    row = _truncated_plain(n)
     for i in range(1, 2 ** (n - 1) + 1):
-        expected = vp_int(2, row[2 * i]) + n - 1
-        actual = vp_int(2, row[2 * i - 1])
-        col.add("lemma25", (n, i), expected, actual, expected == actual)
+        even = row.v2(2 * i)
+        expected = (even[0] + n - 1, even[1])
+        actual = row.v2(2 * i - 1)
+        col.add("lemma25", (n, i), _shown(expected), _shown(actual), _same(expected, actual))
     return col.report("lemma25", (n,), started)
 
 
@@ -277,30 +421,48 @@ def check_inequalities(n: int) -> CheckReport:
     v2(s(2**n,k)) <= v2(s(2**n,1)); and v2(H(2**n,k)) + n <= 0, where
     bound_margin reads v2(H(2**n,k)) from the integer row 2**n + 1
     through (2**n)! * H(2**n,k) = s(2**n+1,k+1) and Legendre's formula.
-    Row 2**n is built by both engines; row 2**n + 1 is lifted from it
-    by the two checked paths of _verified_lifted_coeffs, the same row
-    theorem2 reads.
+    Both rows are the truncated ones theorem2 reads. A lower bound
+    passes on a proven v2 >= B; every bound drawn from an unresolved
+    column, and every upper bound on one, fails.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
     top = 2 ** n
-    lifted = _verified_lifted_coeffs(top)
-    row = _verified_plain_coeffs(top)
-    vals = [INFINITE] + [vp_int(2, row[t]) for t in range(1, top + 1)]
+    lifted = _truncated_lifted(n)
+    row = _truncated_plain(n)
+    vals = [None] + [row.v2(t) for t in range(1, top + 1)] + [(INFINITE, True)]
     for i in range(3, top):
-        bound = vals[i - 1] - 2 * n + 4
-        col.add("step_lower_bound", (n, i), f">= {bound}", vals[i + 1], vals[i + 1] >= bound)
+        bound = (vals[i - 1][0] - 2 * n + 4, vals[i - 1][1])
+        col.add(
+            "step_lower_bound",
+            (n, i),
+            _shown_bound(">=", bound),
+            _shown(vals[i + 1]),
+            _at_least(vals[i + 1], bound),
+        )
     for k in range(1, top + 1):
-        above = vals[k + 1] if k + 1 <= top else INFINITE
-        bound = vals[k] - n
-        col.add("adjacent_drop_bound", (n, k), f"> {bound}", above, above > bound)
+        bound = (vals[k][0] - n, vals[k][1])
+        above = vals[k + 1]
+        col.add(
+            "adjacent_drop_bound",
+            (n, k),
+            _shown_bound(">", bound),
+            _shown(above),
+            _at_least(above, (bound[0] + 1, bound[1])),
+        )
     v_first = vals[1]
     for k in range(1, top + 1):
-        col.add("max_at_first_index", (n, k), f"<= {v_first}", vals[k], vals[k] <= v_first)
+        col.add(
+            "max_at_first_index",
+            (n, k),
+            _shown_bound("<=", v_first),
+            _shown(vals[k]),
+            _at_most(vals[k], v_first),
+        )
     for k in range(1, top + 1):
-        margin = bound_margin(n, k, row=lifted)
+        margin = bound_margin(n, k, row=lifted.coeffs)
         col.add("harmonic_bound", (n, k), "<= 0", margin, margin <= 0)
     return col.report("inequalities", (n,), started)
 

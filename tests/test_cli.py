@@ -18,6 +18,7 @@ import stirval.cli as cli_mod
 import stirval.formulas as formulas_mod
 import stirval.harmonic as harmonic_mod
 import stirval.stirling_core as stirling_mod
+import stirval.verifier as verifier_mod
 from stirval.cli import dispatch
 from stirval.verifier import FAILURE_CAP
 
@@ -232,7 +233,7 @@ class TestVerifyCommand:
         assert code == 1
         head, *lines = out.splitlines()
         assert head.startswith("FAIL suite=theorem1 range=(2, 2) total=4 failures=2 elapsed_ms=")
-        assert head.endswith(" engine=recurrence+product_tree")
+        assert head.endswith(" engine=recurrence+product_tree,mod2^B")
         assert lines == [
             "  FAIL theorem1 instance=(2, 1) expected=2 actual=1",
             "  FAIL theorem1 instance=(2, 2) expected=1 actual=0",
@@ -254,6 +255,23 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["failures_total"] == failed
         assert len(report["failures"]) == FAILURE_CAP
+
+    def test_shared_step_fault_is_an_internal_consistency_failure(self, capsys, monkeypatch):
+        # (x + c + 1) in the step both row routes share: the routes agree,
+        # and Theorem 2 maps the wrong row's valuations onto the right
+        # ones, so only the row invariants can catch it
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        truncated = (verifier_mod._truncated_plain, verifier_mod._truncated_shifted, verifier_mod._truncated_lifted)
+        for cache in truncated:
+            cache.cache_clear()
+        try:
+            code, out, err = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "8", "--jobs", "1")
+        finally:
+            for cache in truncated:
+                cache.cache_clear()
+        assert code == 1 and out == ""
+        assert err.startswith("internal consistency failure: truncated row 4 fails its invariant")
 
     def test_same_report_under_optimize_flag(self):
         # `assert` vanishes under -O; a check that relies on it would

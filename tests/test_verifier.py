@@ -140,18 +140,47 @@ class TestInequalitiesCheck:
 
 
 def _clear_row_caches():
-    verifier_mod._verified_plain_coeffs.cache_clear()
-    verifier_mod._verified_lifted_coeffs.cache_clear()
-    verifier_mod._verified_shifted_coeffs.cache_clear()
-    stirling_mod._cached_coeffs.cache_clear()
+    for cache in (
+        verifier_mod._verified_plain_coeffs,
+        verifier_mod._verified_shifted_coeffs,
+        verifier_mod._truncated_plain,
+        verifier_mod._truncated_shifted,
+        verifier_mod._truncated_lifted,
+        stirling_mod._cached_coeffs,
+    ):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    # Rows built under a planted fault or forced precision must not
+    # outlive the test that built them.
+    _clear_row_caches()
+    yield
+    _clear_row_caches()
+
+
+def _reduced(coeffs, bits):
+    return tuple(c % (1 << b) for c, b in zip(coeffs, bits, strict=True))
+
+
+VALUATION_SUITES = ["theorem1", "theorem2", "lemma24", "lemma25", "inequalities"]
+
+
+def _valuation_checks(n_min, n_max):
+    # Instances of the five valuation suites over [n_min, n_max], n_min >= 2:
+    # theorem1 and theorem2 one per column, lemma24 two, lemma25 half,
+    # inequalities 2**n - 3 step bounds and three families of 2**n.
+    return sum(2 * 2**n + 2 * 2**n + 2 ** (n - 1) + 3 * 2**n + 2**n - 3 for n in range(n_min, n_max + 1))
 
 
 class TestLiftedRow:
     def test_lift_matches_recurrence(self):
-        for top in (1, 2, 8, 32, 64):
-            assert verifier_mod._verified_lifted_coeffs(top) == row_recurrence(top + 1).coeffs
+        for n in (1, 3, 5, 6):
+            lifted = verifier_mod._truncated_lifted(n)
+            assert lifted.coeffs == _reduced(row_recurrence(2**n + 1).coeffs, lifted.bits)
 
-    def test_row_2n_plus_1_never_built_from_scratch(self, monkeypatch):
+    def test_row_2n_plus_1_never_built_from_scratch(self, monkeypatch, fresh_caches):
         n = 5
         calls = []
         for module in (stirling_mod, verifier_mod):
@@ -163,16 +192,21 @@ class TestLiftedRow:
                     return build(m)
 
                 monkeypatch.setattr(module, attr, counted)
-        _clear_row_caches()
+        for attr in ("_chain_masked", "_expand_range"):
+            route = getattr(verifier_mod, attr)
+
+            def counted_route(lo, hi, masks, route=route, attr=attr):
+                calls.append((attr, hi - lo))
+                return route(lo, hi, masks)
+
+            monkeypatch.setattr(verifier_mod, attr, counted_route)
         r = run_suite(n, n, ["theorem2", "inequalities"], jobs=1)
         assert r.total > 0 and r.failures_total == 0
         assert not [c for c in calls if c[1] == 2**n + 1]
-        assert sorted(c for c in calls if c[1] == 2**n) == [
-            ("row_product_tree", 2**n),
-            ("row_recurrence", 2**n),
-        ]
+        # row 2**n is built once by each masked route and never exactly
+        assert sorted(calls) == [("_chain_masked", 2**n), ("_expand_range", 2**n)]
 
-    def test_disagreeing_lift_paths_raise(self, monkeypatch):
+    def test_disagreeing_lift_paths_raise(self, monkeypatch, fresh_caches):
         n = 5
 
         def off_by_one(a, b):
@@ -181,16 +215,14 @@ class TestLiftedRow:
             return out
 
         monkeypatch.setattr(verifier_mod, "_poly_mul", off_by_one)
-        _clear_row_caches()
         with pytest.raises(ConsistencyError, match=f"row {2**n + 1}"):
             check_theorem2(n)
         with pytest.raises(ConsistencyError, match=f"row {2**n + 1}"):
             check_inequalities(n)
 
-    def test_row_cap_holds_for_lifted_row(self):
+    def test_row_cap_holds_for_lifted_row(self, fresh_caches):
         # row 8 fits under the cap, row 9 does not
         saved = stirling_mod.ROW_CAP
-        _clear_row_caches()
         try:
             stirling_mod.ROW_CAP = 8
             with pytest.raises(ResourceLimitError):
@@ -200,14 +232,14 @@ class TestLiftedRow:
         finally:
             stirling_mod.ROW_CAP = saved
 
-    def test_filled_caches_refuse_rows_above_lowered_cap(self):
+    def test_filled_caches_refuse_rows_above_lowered_cap(self, fresh_caches):
         # rows 16, 17 and the shifted row (16, 16) are cached under the
         # default cap; each must be refused once the cap drops below it
         saved = stirling_mod.ROW_CAP
-        _clear_row_caches()
         try:
             assert check_theorem2(4).failures_total == 0
             assert check_lemma24(4).failures_total == 0
+            verifier_mod._verified_shifted_coeffs(16, 16)
             stirling_mod.ROW_CAP = 16
             with pytest.raises(ResourceLimitError):
                 check_theorem2(4)
@@ -219,9 +251,100 @@ class TestLiftedRow:
                 with pytest.raises(ResourceLimitError):
                     check(4)
             with pytest.raises(ResourceLimitError):
+                verifier_mod._truncated_shifted(4)
+            with pytest.raises(ResourceLimitError):
                 verifier_mod._verified_shifted_coeffs(16, 16)
         finally:
             stirling_mod.ROW_CAP = saved
+
+
+class TestTruncatedRows:
+    def test_rows_equal_exact_rows_reduced(self):
+        for n in range(1, 11):
+            top = 2**n
+            plain = verifier_mod._truncated_plain(n)
+            assert plain.bits == verifier_mod._precisions(n)
+            assert list(plain.bits) == sorted(plain.bits, reverse=True)
+            assert plain.bits[0] == plain.bits[1]
+            assert plain.coeffs == _reduced(row_recurrence(top).coeffs, plain.bits)
+            shifted = verifier_mod._truncated_shifted(n)
+            assert shifted.bits == plain.bits
+            assert shifted.coeffs == _reduced(shifted_row_expand(top, top).coeffs, plain.bits)
+            lifted = verifier_mod._truncated_lifted(n)
+            assert lifted.coeffs == _reduced(row_recurrence(top + 1).coeffs, lifted.bits)
+
+    def test_steep_precisions_reduce_exactly(self, monkeypatch, fresh_caches):
+        # Any non-increasing B keeps the residues exact. Here B drops by
+        # 8 > n + 1 per column, so the lifted row's column k + 1 is
+        # bounded by B_{k+1} + n, not by B_k as under the predictions.
+        monkeypatch.setattr(verifier_mod, "_precisions", lambda n: tuple(8 * (2**n - k) + 1 for k in range(2**n + 1)))
+        for n in (3, 4, 5):
+            top = 2**n
+            plain = verifier_mod._truncated_plain(n)
+            assert plain.coeffs == _reduced(row_recurrence(top).coeffs, plain.bits)
+            shifted = verifier_mod._truncated_shifted(n)
+            assert shifted.coeffs == _reduced(shifted_row_expand(top, top).coeffs, plain.bits)
+            lifted = verifier_mod._truncated_lifted(n)
+            assert lifted.bits[1:-1] == tuple(b + n for b in plain.bits[1:])
+            assert lifted.coeffs == _reduced(row_recurrence(top + 1).coeffs, lifted.bits)
+
+    def test_zero_bits_fail_every_check(self, monkeypatch, fresh_caches):
+        # nothing known: every column unresolved, so nothing may pass
+        monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (0,) * (2**n + 1))
+        r = run_suite(2, 5, VALUATION_SUITES, jobs=1)
+        assert r.total == _valuation_checks(2, 5)
+        assert r.failures_total == r.total
+
+    def test_one_bit_passes_only_what_parity_proves(self, monkeypatch, fresh_caches):
+        # Mod 2, (x)_N = x**(N/2) (x+1)**(N/2) for N = 2**n, so columns
+        # N/2 and N are odd and resolve to v2 = 0, which theorem1
+        # predicts; every other column is even and stays unresolved.
+        monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (1,) * (2**n + 1))
+        for n in range(2, 6):
+            top = 2**n
+            r = check_theorem1(n)
+            assert r.failures_total == top - 2
+            assert {f.instance[1] for f in r.failures} == set(range(1, top + 1)) - {top // 2, top}
+            assert all(f.actual == ">= 1" for f in r.failures)
+            assert check_lemma25(n).failures_total == top // 2
+            lifts = [f for f in check_lemma24(n).failures if f.instance[2] == "lift"]
+            assert len(lifts) == top
+
+    @pytest.mark.parametrize("route", ["_chain_masked", "_expand_range"])
+    def test_planted_route_fault_names_row(self, monkeypatch, fresh_caches, route):
+        original = getattr(verifier_mod, route)
+
+        def plus_one(lo, hi, masks):
+            out = original(lo, hi, masks)
+            out[3] += 1
+            return out
+
+        monkeypatch.setattr(verifier_mod, route, plus_one)
+        with pytest.raises(ConsistencyError, match="truncated routes disagree on row 32$"):
+            check_theorem1(5)
+        monkeypatch.setattr(verifier_mod, route, original)
+        check_theorem1(5)
+        # the shifted row's routes start at 32, the plain row's at 0
+        monkeypatch.setattr(verifier_mod, route, lambda lo, hi, masks: (plus_one if lo else original)(lo, hi, masks))
+        with pytest.raises(ConsistencyError, match=r"shifted row \(32, 32\)"):
+            check_lemma24(5)
+
+    def test_shared_step_fault_fails_an_invariant(self, monkeypatch, fresh_caches):
+        # (x + c + 1) in the step both routes share builds (x+1)...(x+N),
+        # which the routes agree on and whose valuations Theorem 2 maps
+        # onto the right ones; its column 0 is N! and its column 1 is
+        # (N-1)! + N * s(N, 2), which differ from 0 and (N-1)! mod 2**B
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        for n in range(2, 11):
+            column = 0 if n == 2 else 1
+            with pytest.raises(ConsistencyError, match=f"row {2**n} fails its invariant at column {column}$"):
+                check_theorem1(n)
+
+    def test_valuation_suites_pass_at_n_11(self):
+        r = run_suite(11, 11, VALUATION_SUITES, jobs=1)
+        assert r.total == _valuation_checks(11, 11) == 17405
+        assert r.failures_total == 0
 
 
 class TestRunSuite:
@@ -233,7 +356,7 @@ class TestRunSuite:
         assert r.total == 89
         assert r.failures == []
         assert r.elapsed >= 0
-        assert r.ground_truth_engine == "recurrence+product_tree"
+        assert r.ground_truth_engine == "recurrence+product_tree,mod2^B"
 
     def test_subset_selection_and_name(self):
         r = run_suite(2, 3, ["theorem1", "lemma25"], jobs=1)
