@@ -65,7 +65,7 @@ def _global_flags() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=argparse.SUPPRESS,
-        help="override the row and table size caps",
+        help="override the row size cap",
     )
     parent.add_argument(
         "--jobs",
@@ -263,13 +263,13 @@ def _cmd_predict(args, cache_dir) -> int:
 
 
 def _cmd_harmonic(args, cache_dir) -> int:
+    if args.k is not None and not 0 <= args.k <= args.n:
+        raise DomainError(f"need 0 <= k <= n, got k={args.k}")
     table = harmonic_mod.harmonic_table(args.n)
     if args.k is None:
         doc = {"n": args.n, "values": [str(v) for v in table.values]}
         _emit_indexed(args.format, doc, table.values)
         return 0
-    if not 0 <= args.k <= args.n:
-        raise DomainError(f"need 0 <= k <= n, got k={args.k}")
     value = str(table.values[args.k])
     _emit_record(args.format, {"n": args.n, "k": args.k, "value": value}, "value")
     return 0
@@ -368,11 +368,12 @@ def dispatch(argv) -> int:
     if args.max_n is not None and args.max_n < 0:
         print("error: --max-n must be >= 0", file=sys.stderr)
         return 2
-    # --max-n moves both caps for this command only; later calls in the
-    # same process see the caps they had before.
-    caps = stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP
+    # --max-n moves the row cap, the one size cap (harmonic tables and
+    # scans are bounded through row n + 1), for this command only; later
+    # calls in the same process see the cap they had before.
+    row_cap = stirling_mod.ROW_CAP
     if args.max_n is not None:
-        stirling_mod.ROW_CAP = harmonic_mod.TABLE_CAP = args.max_n
+        stirling_mod.ROW_CAP = args.max_n
     cache_dir = args.cache_dir or os.environ.get("STIRVAL_CACHE_DIR")
     try:
         return _COMMANDS[args.command](args, cache_dir)
@@ -389,7 +390,7 @@ def dispatch(argv) -> int:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
     finally:
-        stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP = caps
+        stirling_mod.ROW_CAP = row_cap
 
 
 def main() -> None:

@@ -1,16 +1,19 @@
 """Elementary symmetric functions of 1, 1/2, ..., 1/n as exact rationals.
 
 H(n,k) is the sum of products of k distinct reciprocals from the first
-n. Tables are built by the one-variable-at-a-time recurrence
-e_k <- e_k + (1/i) * e_{k-1}, folding in i = 1..n; every entry stays a
-reduced rational after each update. The bridge to the rest of the
-package is the identity n! * H(n,k) = s(n+1, k+1).
+n. The bridge to the rest of the package is the identity
+n! * H(n,k) = s(n+1, k+1): the coefficients of x(x+1)...(x+n) are
+n! times those of (1 + x)(1 + x/2)...(1 + x/n), shifted up one power.
+harmonic_table therefore reads the integer row n+1 and divides it by
+n!, and the row cap limits it through that row.
 
-The rational table is the independent oracle for that identity: it
-backs identity_residual, the CLI harmonic command and the tests. Its
-cost is dominated by gcd reductions on ever-larger rationals and grows
-about tenfold per doubling of n, so the harmonic upper bound
-(bound_margin) does not build it and reads integer rows instead.
+The one-variable-at-a-time recurrence e_k <- e_k + (1/i) * e_{k-1},
+folding in i = 1..n, is kept as the route that shares no code with the
+rows: identity_residual checks the identity against it, and
+conjecture_scan folds only e_0..e_k. Its cost is dominated by gcd
+reductions on ever-larger rationals and grows about tenfold per
+doubling of n, which is why neither the table nor the harmonic upper
+bound (bound_margin) is built from it.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError
 from .padic import Valuation, factorial_valuation, vp_int, vp_rat
-from .stirling_core import stirling
-
-# Tables above this n are refused. Reassign to move the cap.
-TABLE_CAP = 2 ** 12
+from .stirling_core import _cached_coeffs, _check_row_args, stirling
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ def _fold(e: list[Fraction], i: int) -> None:
 
 @lru_cache(maxsize=32)
 def _cached_values(n: int) -> tuple[Fraction, ...]:
+    # H(n,0..n) by the full fold; only identity_residual reads it.
     e = [Fraction(1)] + [Fraction(0)] * n
     for i in range(1, n + 1):
         _fold(e, i)
@@ -55,50 +56,65 @@ def _cached_values(n: int) -> tuple[Fraction, ...]:
 
 
 def harmonic_table(n: int) -> HarmonicTable:
-    """Build (or fetch) the full table H(n,0..n).
+    """Build the full table H(n,0..n) from the integer row n+1.
+
+    H(n,k) = s(n+1, k+1) / n!, with the row from the same capped cache
+    that stirling() reads. The table has no route of its own, so the
+    row is first checked against two invariants that no engine
+    computes: s(n+1, 1) = n!, which makes H(n,0) = 1, and
+    sum_k s(n+1, k) = (n+1)!.
 
     Args:
-        n: Table size, 1 <= n <= TABLE_CAP.
+        n: Table size, n >= 1, with row n+1 within the row cap.
 
     Returns:
         HarmonicTable with n+1 reduced Fraction values.
 
     Raises:
         DomainError: If n < 1.
-        ResourceLimitError: If n exceeds TABLE_CAP.
+        ResourceLimitError: If row n+1 exceeds the row cap.
+        ConsistencyError: If the row fails either invariant.
     """
     if n < 1:
         raise DomainError(f"table size must be >= 1, got {n}")
-    if n > TABLE_CAP:
-        raise ResourceLimitError(f"table size {n} exceeds cap {TABLE_CAP}")
-    return HarmonicTable(n, _cached_values(n))
+    row = _cached_coeffs(n + 1, 0)
+    n_factorial = math.factorial(n)
+    if row[1] != n_factorial:
+        raise ConsistencyError(f"s({n + 1}, 1) is not {n}!")
+    if sum(row) != (n + 1) * n_factorial:
+        raise ConsistencyError(f"row {n + 1} does not sum to {n + 1}!")
+    return HarmonicTable(n, tuple(Fraction(c, n_factorial) for c in row[1:]))
 
 
 def identity_residual(n: int, k: int) -> int:
     """Return n! * H(n,k) - s(n+1,k+1); zero whenever both sides are right.
 
-    The two sides come from unrelated code paths (rational recurrence
-    versus polynomial expansion), so a nonzero residual pins a bug.
+    H(n,k) comes from the rational fold, never from harmonic_table: the
+    two sides then come from unrelated code paths (rational recurrence
+    versus polynomial expansion), so a nonzero residual pins a bug. The
+    row is read first, so the row cap holds before any fold is built or
+    served from its cache.
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-    lhs = math.factorial(n) * harmonic_table(n).values[k]
+    rhs = stirling(n + 1, k + 1)
+    lhs = math.factorial(n) * _cached_values(n)[k]
     if lhs.denominator != 1:
         raise ConsistencyError(f"n! * H({n},{k}) is not an integer: {lhs}")
-    return int(lhs) - stirling(n + 1, k + 1)
+    return int(lhs) - rhs
 
 
 def bound_margin(n: int, k: int, *, row: Sequence[int] | None = None) -> Valuation:
     """Return v2(H(2**n, k)) + n; the upper-bound claim says <= 0.
 
-    Read exactly from the integer row 2**n + 1, never from the rational
-    table. With N = 2**n, the identity N! * H(N,k) = s(N+1, k+1) and
+    Read exactly from the integer row 2**n + 1; no table is built.
+    With N = 2**n, the identity N! * H(N,k) = s(N+1, k+1) and
     additivity of valuations give v2(H(N,k)) = v2(s(N+1, k+1)) - v2(N!).
     For 1 <= k <= N the Stirling number s(N+1, k+1) is positive, so its
     valuation is finite. Legendre's formula gives v2(N!) = N - d2(N) =
     2**n - 1 without forming N!. On an exact row nothing is truncated,
-    so the result is the one the rational table gives;
-    identity_residual checks the identity itself against that table.
+    so the result is the one the rational fold gives;
+    identity_residual checks the identity itself against that fold.
 
     The row may also hold residues: column j known only modulo some
     2**b_j, as in the verifier's truncated row. A nonzero residue has
@@ -144,8 +160,10 @@ def conjecture_scan(p: int, k: int, n_max: int) -> list[tuple[int, Valuation, fl
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    if n_max > TABLE_CAP:
-        raise ResourceLimitError(f"scan bound {n_max} exceeds cap {TABLE_CAP}")
+    # The last value is H(n_max, k), and harmonic_table(n_max) needs
+    # row n_max + 1, so the scan obeys the same row cap. A bound below
+    # 0 scans nothing, as one below k does.
+    _check_row_args(max(n_max, 0) + 1)
     # Only e_0..e_k are tracked; the full table is never built.
     e = [Fraction(1)] + [Fraction(0)] * k
     out = []

@@ -169,6 +169,25 @@ class TestHarmonicAndScan:
         assert code == 0
         assert json.loads(out)["values"] == ["1", "25/12", "35/24", "5/12", "1/24"]
 
+    def test_k_out_of_range_before_table(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("table built for a k outside 0..n")
+
+        monkeypatch.setattr(harmonic_mod, "harmonic_table", refuse)
+        code, _, err = run(capsys, "harmonic", "--n", "4", "--k", "9")
+        assert code == 2 and "0 <= k <= n" in err
+
+    def test_shared_step_fault_exits_one(self, capsys, monkeypatch):
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        stirling_mod._cached_coeffs.cache_clear()
+        try:
+            code, out, err = run(capsys, "harmonic", "--n", "20")
+        finally:
+            stirling_mod._cached_coeffs.cache_clear()
+        assert code == 1 and out == ""
+        assert err.startswith("internal consistency failure")
+
     def test_scan_text(self, capsys):
         code, out, _ = run(capsys, "scan", "--p", "2", "--k", "1", "--n-max", "4")
         assert code == 0
@@ -317,16 +336,20 @@ class TestGlobalFlags:
     def test_max_n_caps_harmonic(self, capsys):
         code, _, err = run(capsys, "harmonic", "--n", "40", "--max-n", "10")
         assert code == 3
+        # table n reads row n + 1, so --max-n M allows n up to M - 1
+        code, out, _ = run(capsys, "--max-n", "10", "harmonic", "--n", "9", "--k", "9")
+        assert code == 0 and out.strip() == "1/362880"
+        code, _, err = run(capsys, "--max-n", "10", "harmonic", "--n", "10")
+        assert code == 3 and "row index 11 exceeds cap 10" in err
 
     def test_max_n_lasts_one_command(self, capsys):
-        row_cap, table_cap = stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP
-        assert (row_cap, table_cap) == (2**13, 2**12)
+        assert stirling_mod.ROW_CAP == 2**13
         code, out, _ = run(capsys, "--max-n", "16", "value", "--n", "4", "--k", "2")
         assert code == 0 and out.strip() == "11"
-        assert (stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP) == (row_cap, table_cap)
+        assert stirling_mod.ROW_CAP == 2**13
         code, _, _ = run(capsys, "--max-n", "4", "row", "--n", "8")
         assert code == 3
-        assert (stirling_mod.ROW_CAP, harmonic_mod.TABLE_CAP) == (row_cap, table_cap)
+        assert stirling_mod.ROW_CAP == 2**13
 
     def test_fixes_mmap_threshold(self, capsys, monkeypatch):
         calls = []

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stirval.harmonic as harmonic_mod
-from stirval.errors import DomainError, ResourceLimitError
+import stirval.stirling_core as stirling_mod
+from stirval.errors import ConsistencyError, DomainError, ResourceLimitError
 from stirval.harmonic import (
     HarmonicTable,
     bound_margin,
@@ -58,10 +59,49 @@ class TestHarmonicTable:
             harmonic_table(-1)
 
     def test_table_cap(self, monkeypatch):
-        monkeypatch.setattr(harmonic_mod, "TABLE_CAP", 8)
+        # table n reads row n + 1, so the row cap limits it through that row
+        monkeypatch.setattr(stirling_mod, "ROW_CAP", 9)
         with pytest.raises(ResourceLimitError):
             harmonic_table(9)
         assert harmonic_table(8).n == 8
+        # the cap holds even for a row that is already cached
+        monkeypatch.setattr(stirling_mod, "ROW_CAP", 8)
+        with pytest.raises(ResourceLimitError):
+            harmonic_table(8)
+
+    def test_reads_row_not_fold(self, monkeypatch):
+        def refuse(e, i):
+            raise AssertionError("harmonic_table folded")
+
+        monkeypatch.setattr(harmonic_mod, "_fold", refuse)
+        harmonic_mod._cached_values.cache_clear()
+        assert harmonic_table(40).values[40] == Fraction(1, math.factorial(40))
+
+    def test_equals_fold(self):
+        # the table reads integer rows; the fold shares no code with them
+        e = [Fraction(1)] + [Fraction(0)] * 256
+        for i in range(1, 257):
+            harmonic_mod._fold(e, i)
+            assert harmonic_table(i).values == tuple(e[: i + 1]), i
+
+    def test_shared_step_fault_fails_row_invariants(self, monkeypatch):
+        # (x + c + 1) in the step both row routes share builds
+        # (x+1)(x+2)...(x+n+1): s(n+1, 1) and the row sum both come out wrong
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        stirling_mod._cached_coeffs.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError):
+                harmonic_table(20)
+        finally:
+            stirling_mod._cached_coeffs.cache_clear()
+
+    def test_row_sum_checked(self, monkeypatch):
+        # a wrong top coefficient leaves s(n+1, 1) = n! but not the sum
+        bad = row_recurrence(21).coeffs[:-1] + (2,)
+        monkeypatch.setattr(harmonic_mod, "_cached_coeffs", lambda n, shift: bad)
+        with pytest.raises(ConsistencyError, match="sum"):
+            harmonic_table(20)
 
     def test_requests_out_of_order(self):
         # a smaller table requested after a larger one must still be exact
@@ -98,6 +138,15 @@ class TestIdentityResidual:
         expected = math.factorial(5) * harmonic_table(5).values[2] - stirling(6, 3)
         assert identity_residual(n, k) == expected == 0
 
+    def test_row_cap_before_fold(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("fold built for a row over the cap")
+
+        monkeypatch.setattr(harmonic_mod, "_cached_values", refuse)
+        monkeypatch.setattr(stirling_mod, "ROW_CAP", 16)
+        with pytest.raises(ResourceLimitError):
+            identity_residual(16, 3)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             identity_residual(0, 1)
@@ -114,18 +163,20 @@ class TestBoundMargin:
         assert bound_margin(1, 1) == 0
 
     def test_definition(self):
-        # margin = v2(H(2**n, k)) + n, checked against the rational table
+        # margin = v2(H(2**n, k)) + n, checked against the rational fold
+        # (harmonic_table reads the same integer rows as bound_margin)
         for n in range(1, 9):
-            values = harmonic_table(2**n).values
+            values = harmonic_mod._cached_values(2**n)
             for k in range(1, 2**n + 1):
                 assert bound_margin(n, k) == vp_rat(2, values[k]) + n, (n, k)
 
     def test_does_not_build_table(self, monkeypatch):
-        expected = [vp_rat(2, v) + 5 for v in harmonic_table(32).values[1:]]
-        monkeypatch.setattr(harmonic_mod, "TABLE_CAP", 16)
-        # the cap holds even for a table that is already cached
-        with pytest.raises(ResourceLimitError):
-            harmonic_table(32)
+        expected = [vp_rat(2, v) + 5 for v in harmonic_mod._cached_values(32)[1:]]
+
+        def refuse(n):
+            raise AssertionError("bound_margin built a table")
+
+        monkeypatch.setattr(harmonic_mod, "harmonic_table", refuse)
         assert [bound_margin(5, k) for k in range(1, 33)] == expected
 
     def test_given_row_matches_own_row(self):
@@ -190,6 +241,7 @@ class TestConjectureScan:
         assert conjecture_scan(2, 5, 4) == []
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setattr(harmonic_mod, "TABLE_CAP", 16)
+        # the last value is H(17, 1), whose table reads row 18
+        monkeypatch.setattr(stirling_mod, "ROW_CAP", 17)
         with pytest.raises(ResourceLimitError):
             conjecture_scan(2, 1, 17)
