@@ -265,7 +265,11 @@ def _cmd_predict(args, cache_dir) -> int:
 def _cmd_harmonic(args, cache_dir) -> int:
     if args.k is not None and not 0 <= args.k <= args.n:
         raise DomainError(f"need 0 <= k <= n, got k={args.k}")
-    table = harmonic_mod.harmonic_table(args.n)
+    # Row n + 1 goes through the disk cache like any other row, so the
+    # table's checks (s(n+1, 1) = n! and the row sum) also guard rows
+    # read from disk. Below n = 1 the table raises its own usage error.
+    row = _row_coeffs(args.n + 1, 0, cache_dir) if args.n >= 1 else None
+    table = harmonic_mod.harmonic_table(args.n, row=row)
     if args.k is None:
         doc = {"n": args.n, "values": [str(v) for v in table.values]}
         _emit_indexed(args.format, doc, table.values)

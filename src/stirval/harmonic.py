@@ -55,29 +55,35 @@ def _cached_values(n: int) -> tuple[Fraction, ...]:
     return tuple(e)
 
 
-def harmonic_table(n: int) -> HarmonicTable:
+def harmonic_table(n: int, *, row: Sequence[int] | None = None) -> HarmonicTable:
     """Build the full table H(n,0..n) from the integer row n+1.
 
-    H(n,k) = s(n+1, k+1) / n!, with the row from the same capped cache
-    that stirling() reads. The table has no route of its own, so the
-    row is first checked against two invariants that no engine
-    computes: s(n+1, 1) = n!, which makes H(n,0) = 1, and
+    H(n,k) = s(n+1, k+1) / n!. The table has no route of its own, so the
+    row, given or read, is first checked against two invariants that no
+    engine computes: s(n+1, 1) = n!, which makes H(n,0) = 1, and
     sum_k s(n+1, k) = (n+1)!.
 
     Args:
         n: Table size, n >= 1, with row n+1 within the row cap.
+        row: The coefficients s(n+1, 0..n+1), when the caller already
+            holds them (the CLI passes the row from its disk cache).
+            Without it the row comes from the same capped cache that
+            stirling() reads.
 
     Returns:
         HarmonicTable with n+1 reduced Fraction values.
 
     Raises:
-        DomainError: If n < 1.
+        DomainError: If n < 1, or row does not have n+2 entries.
         ResourceLimitError: If row n+1 exceeds the row cap.
         ConsistencyError: If the row fails either invariant.
     """
     if n < 1:
         raise DomainError(f"table size must be >= 1, got {n}")
-    row = _cached_coeffs(n + 1, 0)
+    if row is None:
+        row = _cached_coeffs(n + 1, 0)
+    elif len(row) != n + 2:
+        raise DomainError(f"row {n + 1} has {n + 2} entries, got {len(row)}")
     n_factorial = math.factorial(n)
     if row[1] != n_factorial:
         raise ConsistencyError(f"s({n + 1}, 1) is not {n}!")

@@ -28,11 +28,14 @@ rows are handled as flat lists and multiplied via Kronecker
 substitution (pack the coefficients of a polynomial into one giant
 integer, multiply once, slice the product back apart).
 
-Two masked routes keep column k only modulo a power of two that does
-not grow with k: _chain_masked (the recurrence steps) and
-_expand_range with masks (the product tree). They reuse the exact
-routes' steps and reduce between them; the verifier builds its
-2-adically truncated rows with both and argues their soundness.
+Three masked routes keep column k only modulo a power of two that does
+not grow with k: _chain_masked (the recurrence steps), _expand_range
+with masks (the product tree) and _taylor_shift_masked (p(x) to
+p(x + 2**n), which states the precision it keeps). The first two reuse
+the exact routes' steps and reduce between them. The verifier builds
+its 2-adically truncated row 2**n with the first two and the shifted
+row (x + 2**n)_{2**n} with the recurrence and the Taylor shift of that
+row, and argues their soundness.
 """
 
 from __future__ import annotations
@@ -259,6 +262,33 @@ def _chain_masked(lo: int, hi: int, masks: Sequence[int]) -> list[int]:
     for c in range(lo, hi, _MASK_EVERY):
         coeffs = _masked(_expand_chain(c, min(c + _MASK_EVERY, hi), coeffs), masks)
     return coeffs
+
+
+def _taylor_shift_masked(
+    coeffs: Sequence[int], bits: Sequence[int], n: int
+) -> tuple[list[int], tuple[int, ...]]:
+    """p(x + 2**n) from p's column residues, with the precision that survives.
+
+    Column k of p(x + 2**n) is sum_{i >= k} p[i] * C(i, k) * 2**(n(i-k)).
+    With p[i] known modulo 2**bits[i], term i is known modulo
+    2**(bits[i] + n(i-k)), so column k is known modulo 2**B'_k with
+    B'_k = min(bits[k], min_{i > k} (bits[i] + n(i-k))), which is
+    min(bits[k], B'_{k+1} + n), computed right to left. Terms with
+    n(i-k) >= B'_k vanish modulo 2**B'_k and are never formed. Returns
+    the residues and B'. B' equals bits wherever bits drops by at most
+    n per column.
+    """
+    top = len(coeffs) - 1
+    shifted_bits = list(bits)
+    for k in range(top - 1, -1, -1):
+        shifted_bits[k] = min(bits[k], shifted_bits[k + 1] + n)
+    out = []
+    for k, b in enumerate(shifted_bits):
+        total = 0
+        for j in range(min(top - k, (b - 1) // n) + 1):
+            total += (coeffs[k + j] * math.comb(k + j, j)) << (n * j)
+        out.append(total & ((1 << b) - 1))
+    return out, tuple(shifted_bits)
 
 
 def row_product_tree(n: int) -> StirlingRow:

@@ -21,7 +21,10 @@ Available checks:
 Ground truth for identities is exact. Every row is computed by BOTH
 engines (recurrence and product tree), which must agree
 coefficientwise; shifted rows are expanded twice, once balanced and
-once sequentially.
+once sequentially. Each row must then meet invariants that no engine
+computes: s(n, 0) = [n = 0], s(n, n) = 1, s(n, 1) = (n-1)!, row sum n!
+and, for n >= 2, alternating sum 0; s_m(n, n) = 1 and row sum
+(m+n)!/m! for shifted rows.
 
 The other five suites read only 2-adic valuations, so their ground
 truth is truncated: column k of row N = 2**n is kept only modulo
@@ -36,14 +39,22 @@ truth is truncated: column k of row N = 2**n is kept only modulo
       each kept modulo 2**B_j with B_j >= B_k. So reducing column k
       mod 2**B_k after every product leaves every kept residue equal
       to the exact coefficient's residue.
-  Two routes. Row N and the shifted row (x + N)_N are each built by
-      the masked recurrence and the masked product tree
-      (stirling_core._chain_masked, _expand_range with masks), which
-      must agree. Before a row is cached it must also meet invariants
-      that neither route computes, mod 2**B_k: s(N, 0) = 0,
-      s(N, 1) = (N-1)! and s(N, N) = 1; s_N(N, 0) = (2N-1)!/(N-1)!
-      and s_N(N, N) = 1. The shifted row uses row N's B; by Lemma 2.4
-      its valuations are row N's.
+  Two routes. Row N is built by the masked recurrence and the masked
+      product tree (stirling_core._chain_masked, _expand_range with
+      masks), which must agree. The shifted row (x + N)_N is built by
+      the masked recurrence, kept modulo row N's B, and by the
+      truncated Taylor shift of the checked row N by N
+      (_taylor_shift_masked): s_N(N, k) = sum_{i >= k} s(N, i) C(i, k)
+      N**(i-k). Term i of column k is known modulo 2**(B_i + n(i-k)),
+      so the shift knows column k modulo 2**B'_k, with
+      B'_k = min(B_k, B'_{k+1} + n), and sums only the terms with
+      n(i-k) < B'_k. The two must agree modulo 2**B'. By the drop bound
+      B falls by less than n per column, so B' = B whenever the
+      predictions hold; by Lemma 2.4 the shifted row's valuations are
+      row N's. Before a row is cached it must also meet invariants
+      that neither route computes: s(N, 0) = 0, s(N, 1) = (N-1)! and
+      s(N, N) = 1 mod 2**B_k; s_N(N, 0) = (2N-1)!/(N-1)! and
+      s_N(N, N) = 1 mod 2**B'_k.
   Lifted row. Row N + 1 is row N times (x + N), computed by two paths
       (_truncated_lifted). Column k + 1 is N * r[k+1] + r[k], known
       modulo 2**min(B_k, B_{k+1} + n).
@@ -86,6 +97,7 @@ from .stirling_core import (
     _expand_range,
     _masked,
     _poly_mul,
+    _taylor_shift_masked,
     _times_linear,
     convolution_rhs,
     lemma21_rhs,
@@ -154,22 +166,50 @@ class _Collector:
         return CheckReport(suite, sweep, self.total, self.failed, ordered, time.perf_counter() - started)
 
 
+def _require_exact(name: str, facts: dict[str, bool]) -> None:
+    # Invariants of an exact row that neither engine computes.
+    broken = [fact for fact, holds in facts.items() if not holds]
+    if broken:
+        raise ConsistencyError(f"{name} fails its invariants: {', '.join(broken)}")
+
+
 @_capped_cache(256, _check_row_args)
 def _verified_plain_coeffs(n: int) -> tuple[int, ...]:
+    """Row n from both engines, which must agree and meet row invariants.
+
+    (x)_n is 0 at x = 0 for n >= 1, n! at x = 1 and, for n >= 2, 0 at
+    x = -1 (the factor x + 1); its top column is 1 and its column 1 is
+    (n-1)!. A fault in the step both engines share (such as multiplying
+    by x + c + 1) builds a row they agree on but that breaks these.
+    """
     rec = row_recurrence(n)
     tree = row_product_tree(n)
     if rec.coeffs != tree.coeffs:
         raise ConsistencyError(f"engines disagree on row {n}")
-    return rec.coeffs
+    c = rec.coeffs
+    _require_exact(f"row {n}", {
+        "s(n, 0) = [n = 0]": c[0] == (n == 0),
+        "s(n, n) = 1": c[n] == 1,
+        "s(n, 1) = (n-1)!": n == 0 or c[1] == math.factorial(n - 1),
+        "sum = n!": sum(c) == math.factorial(n),
+        "alternating sum = 0": n < 2 or sum(c[::2]) == sum(c[1::2]),
+    })
+    return c
 
 
 @_capped_cache(2048, lambda m, n: _check_row_args(n, m))
 def _verified_shifted_coeffs(m: int, n: int) -> tuple[int, ...]:
+    """Shifted row (m, n) expanded twice, checked against (x + m)_n at x = 1."""
     tree = shifted_row_expand(m, n)
     chain = tuple(_expand_chain(m, m + n))
     if tree.coeffs != chain:
         raise ConsistencyError(f"expansions disagree on shifted row ({m}, {n})")
-    return tree.coeffs
+    c = tree.coeffs
+    _require_exact(f"shifted row ({m}, {n})", {
+        "s_m(n, n) = 1": c[n] == 1,
+        "sum = (m+n)!/m!": sum(c) == math.perm(m + n, n),
+    })
+    return c
 
 
 @dataclass(frozen=True)
@@ -254,12 +294,23 @@ def _truncated_plain(n: int) -> _Truncated:
 
 @_capped_cache(32, lambda n: _check_row_args(2 ** n, 2 ** n))
 def _truncated_shifted(n: int) -> _Truncated:
-    """Shifted row (x + 2**n)_{2**n} modulo 2**B_k, with row 2**n's B."""
+    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k.
+
+    One route is the masked recurrence over the factors x + 2**n ..
+    x + 2**(n+1) - 1, kept modulo row 2**n's B. The other is the
+    truncated Taylor shift of the checked row 2**n by 2**n
+    (_taylor_shift_masked): (x + N)_N is (x)_N at x + N. The shift
+    knows column k only modulo 2**B'_k, B'_k = min(B_k, B'_{k+1} + n),
+    so both routes are compared, and the invariants checked, modulo
+    2**B'. Under the predictions B drops by less than n per column, so
+    B' = B.
+    """
     top = 2 ** n
-    bits = _truncated_plain(n).bits
+    plain = _truncated_plain(n)
+    taylor, bits = _taylor_shift_masked(plain.coeffs, plain.bits, n)
     masks = _masks(bits)
-    chain = _chain_masked(top, 2 * top, masks)
-    if chain != _expand_range(top, 2 * top, masks):
+    chain = _masked(_chain_masked(top, 2 * top, _masks(plain.bits)), masks)
+    if chain != taylor:
         raise ConsistencyError(f"truncated routes disagree on shifted row ({top}, {top})")
     _require(f"shifted row ({top}, {top})", chain, masks, {0: math.perm(2 * top - 1, top), top: 1})
     return _Truncated(tuple(chain), bits)
@@ -326,8 +377,9 @@ def check_lemma24(n: int) -> CheckReport:
 
     Two conditions per column t: equal valuations, and the difference
     of the two numbers gains at least two extra factors of 2. The
-    difference is known modulo 2**B_t, so a zero residue proves only
-    v2 >= B_t, which meets the bound whenever the predictions hold.
+    difference is known modulo 2**min(B_t, B'_t), the precisions of
+    the two rows, so a zero residue proves only v2 >= that, which
+    meets the bound whenever the predictions hold.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -339,7 +391,7 @@ def check_lemma24(n: int) -> CheckReport:
         v_plain = plain.v2(t)
         v_shift = shifted.v2(t)
         col.add("lemma24", (n, t, "eq"), _shown(v_plain), _shown(v_shift), _same(v_plain, v_shift))
-        v_diff = _v2_mod(shifted.coeffs[t] - plain.coeffs[t], plain.bits[t])
+        v_diff = _v2_mod(shifted.coeffs[t] - plain.coeffs[t], min(plain.bits[t], shifted.bits[t]))
         bound = (v_plain[0] + 2, v_plain[1])
         col.add(
             "lemma24",

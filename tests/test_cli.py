@@ -188,6 +188,30 @@ class TestHarmonicAndScan:
         assert code == 1 and out == ""
         assert err.startswith("internal consistency failure")
 
+    def test_cache_dir_round_trip(self, capsys, tmp_path, monkeypatch):
+        built = []
+        tree = stirling_mod.row_product_tree
+        monkeypatch.setattr(stirling_mod, "row_product_tree", lambda n: built.append(n) or tree(n))
+        argv = ("harmonic", "--n", "64", "--format", "json", "--cache-dir", str(tmp_path))
+        code, first, _ = run(capsys, *argv)
+        assert code == 0 and built == [65]
+        assert cache_mod.cache_load(65, 0, str(tmp_path)).coeffs == stirling_mod.row_recurrence(65).coeffs
+        # the second call is a hit
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == first and built == [65]
+        # a file that fails its checksum is recomputed and written back
+        path = tmp_path / "row_s0_n65.stirval"
+        path.write_bytes(path.read_bytes().replace(b"\n2:", b"\n2:1", 1))
+        with pytest.warns(UserWarning, match="corrupt"):
+            code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == first and built == [65, 65]
+        # one that passes it with a wrong row fails the table's row checks
+        body = path.read_bytes().splitlines(keepends=True)[1:]
+        body[2] = b"2:1" + body[2][2:]
+        _rewrite_body(path, body)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err == "internal consistency failure: row 65 does not sum to 65!\n"
+
     def test_scan_text(self, capsys):
         code, out, _ = run(capsys, "scan", "--p", "2", "--k", "1", "--n-max", "4")
         assert code == 0

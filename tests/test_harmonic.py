@@ -103,6 +103,17 @@ class TestHarmonicTable:
         with pytest.raises(ConsistencyError, match="sum"):
             harmonic_table(20)
 
+    def test_given_row(self):
+        for n in (1, 5, 20):
+            assert harmonic_table(n, row=row_recurrence(n + 1).coeffs) == harmonic_table(n)
+        row = row_recurrence(9).coeffs
+        for bad in (row[:-1], row + (0,)):
+            with pytest.raises(DomainError):
+                harmonic_table(8, row=bad)
+        # a given row meets the same checks as a read one
+        with pytest.raises(ConsistencyError, match="sum"):
+            harmonic_table(8, row=row[:-1] + (2,))
+
     def test_requests_out_of_order(self):
         # a smaller table requested after a larger one must still be exact
         harmonic_table(40)

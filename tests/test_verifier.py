@@ -109,6 +109,39 @@ class TestIdentitiesCheck:
         r = check_identities(1, 1)
         assert r.total > 0 and not r.failures
 
+    def test_shared_step_fault_raises(self, monkeypatch, fresh_caches):
+        # (x + c + 1) in the step both engines share: they agree on
+        # (x+1)...(x+n), whose column 0 is n!, not 0, and whose sum is
+        # (n+1)!; the half-sum check alone used to be all that failed
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        with pytest.raises(ConsistencyError, match=r"^row 1 fails its invariants: s\(n, 0\) = \[n = 0\], sum = n!$"):
+            check_identities(4, 4)
+
+    def test_fault_in_both_engines_fails_the_sums(self, monkeypatch, fresh_caches):
+        # +1 on column 2 of every plain row from both engines: only the
+        # row sum and the alternating sum see it
+        for attr in ("row_recurrence", "row_product_tree"):
+            build = getattr(verifier_mod, attr)
+
+            def faulty(n, build=build):
+                row = build(n)
+                coeffs = list(row.coeffs)
+                if n >= 3:
+                    coeffs[2] += 1
+                return type(row)(row.n, tuple(coeffs), row.engine)
+
+            monkeypatch.setattr(verifier_mod, attr, faulty)
+        with pytest.raises(ConsistencyError, match=r"^row 3 fails its invariants: sum = n!, alternating sum = 0$"):
+            check_identities(4, 4)
+
+    def test_shifted_fault_fails_the_sum(self, monkeypatch, fresh_caches):
+        # both expansions of (x + m)_n shifted by one more: (x + m + 1)_n
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        with pytest.raises(ConsistencyError, match=r"^shifted row \(2, 1\) fails its invariants: sum = \(m\+n\)!/m!$"):
+            verifier_mod._verified_shifted_coeffs(2, 1)
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(DomainError):
             check_identities(-1, 2)
@@ -162,6 +195,11 @@ def fresh_caches():
 
 def _reduced(coeffs, bits):
     return tuple(c % (1 << b) for c, b in zip(coeffs, bits, strict=True))
+
+
+def _taylor_bits(bits, n):
+    # B'_k = min over i >= k of B_i + n(i - k), straight from the definition
+    return tuple(min(bits[i] + n * (i - k) for i in range(k, len(bits))) for k in range(len(bits)))
 
 
 VALUATION_SUITES = ["theorem1", "theorem2", "lemma24", "lemma25", "inequalities"]
@@ -276,17 +314,38 @@ class TestTruncatedRows:
     def test_steep_precisions_reduce_exactly(self, monkeypatch, fresh_caches):
         # Any non-increasing B keeps the residues exact. Here B drops by
         # 8 > n + 1 per column, so the lifted row's column k + 1 is
-        # bounded by B_{k+1} + n, not by B_k as under the predictions.
+        # bounded by B_{k+1} + n, not by B_k as under the predictions,
+        # and the Taylor-shifted row knows only B'_k < B_k bits.
         monkeypatch.setattr(verifier_mod, "_precisions", lambda n: tuple(8 * (2**n - k) + 1 for k in range(2**n + 1)))
         for n in (3, 4, 5):
             top = 2**n
             plain = verifier_mod._truncated_plain(n)
             assert plain.coeffs == _reduced(row_recurrence(top).coeffs, plain.bits)
             shifted = verifier_mod._truncated_shifted(n)
-            assert shifted.coeffs == _reduced(shifted_row_expand(top, top).coeffs, plain.bits)
+            assert shifted.bits == _taylor_bits(plain.bits, n) != plain.bits
+            assert shifted.coeffs == _reduced(shifted_row_expand(top, top).coeffs, shifted.bits)
             lifted = verifier_mod._truncated_lifted(n)
             assert lifted.bits[1:-1] == tuple(b + n for b in plain.bits[1:])
             assert lifted.coeffs == _reduced(row_recurrence(top + 1).coeffs, lifted.bits)
+
+    def test_forced_precisions_truncate_the_shift(self, monkeypatch, fresh_caches):
+        # B drops faster than n = 3 per column, so the Taylor shift knows
+        # fewer bits than B: column 1, for one, only B_3 + 2n = 10.
+        monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (20, 20, 8, 4, 2, 1, 1, 1, 1))
+        plain = verifier_mod._truncated_plain(3)
+        assert plain.coeffs == _reduced(row_recurrence(8).coeffs, plain.bits)
+        shifted = verifier_mod._truncated_shifted(3)
+        assert shifted.bits == (13, 10, 7, 4, 2, 1, 1, 1, 1) == _taylor_bits(plain.bits, 3)
+        assert shifted.coeffs == _reduced(shifted_row_expand(8, 8).coeffs, shifted.bits)
+
+    def test_lemma24_reads_the_difference_at_the_shifted_precision(self, monkeypatch, fresh_caches):
+        # Column 5 of row 8 is known to 20 bits, its shift only to
+        # B'_5 = 1 + 3 = 4. The exact difference has v2 = 5, which meets
+        # the lift bound v2(s(8, 5)) + 2 = 5, but 4 bits cannot prove it.
+        monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (20,) * 6 + (1,) * 3)
+        assert verifier_mod._truncated_shifted(3).bits[5] == 4
+        lifts = {f.instance[1]: f for f in check_lemma24(3).failures if f.instance[2] == "lift"}
+        assert lifts[5].expected == ">= 5" and lifts[5].actual == ">= 4"
 
     def test_zero_bits_fail_every_check(self, monkeypatch, fresh_caches):
         # nothing known: every column unresolved, so nothing may pass
@@ -322,12 +381,41 @@ class TestTruncatedRows:
         monkeypatch.setattr(verifier_mod, route, plus_one)
         with pytest.raises(ConsistencyError, match="truncated routes disagree on row 32$"):
             check_theorem1(5)
-        monkeypatch.setattr(verifier_mod, route, original)
+
+    @pytest.mark.parametrize("route", ["_chain_masked", "_taylor_shift_masked"])
+    def test_planted_shifted_route_fault_names_row(self, monkeypatch, fresh_caches, route):
+        # The shifted row's routes are the masked recurrence from 32 and
+        # the Taylor shift of the checked row 32; build that row first.
         check_theorem1(5)
-        # the shifted row's routes start at 32, the plain row's at 0
-        monkeypatch.setattr(verifier_mod, route, lambda lo, hi, masks: (plus_one if lo else original)(lo, hi, masks))
-        with pytest.raises(ConsistencyError, match=r"shifted row \(32, 32\)"):
+        original = getattr(verifier_mod, route)
+
+        def plus_one(*args):
+            out = original(*args)
+            (out[0] if route == "_taylor_shift_masked" else out)[3] += 1
+            return out
+
+        monkeypatch.setattr(verifier_mod, route, plus_one)
+        with pytest.raises(ConsistencyError, match=r"truncated routes disagree on shifted row \(32, 32\)$"):
             check_lemma24(5)
+
+    def test_shifted_row_builds_no_product_tree(self, monkeypatch, fresh_caches):
+        # Row 64 is built by both masked routes; the shifted row then
+        # reuses it and never reaches a masked tree or a Kronecker multiply.
+        n = 6
+        expected = shifted_row_expand(2**n, 2**n).coeffs
+        verifier_mod._truncated_plain(n)
+        calls = []
+        for module, attr in ((verifier_mod, "_expand_range"), (stirling_mod, "_expand_range"), (stirling_mod, "_poly_mul")):
+            route = getattr(module, attr)
+
+            def counted(*args, route=route, attr=attr):
+                calls.append(attr)
+                return route(*args)
+
+            monkeypatch.setattr(module, attr, counted)
+        shifted = verifier_mod._truncated_shifted(n)
+        assert calls == []
+        assert shifted.coeffs == _reduced(expected, shifted.bits)
 
     def test_shared_step_fault_fails_an_invariant(self, monkeypatch, fresh_caches):
         # (x + c + 1) in the step both routes share builds (x+1)...(x+N),
