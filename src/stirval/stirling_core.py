@@ -29,13 +29,14 @@ substitution (pack the coefficients of a polynomial into one giant
 integer, multiply once, slice the product back apart).
 
 Three masked routes keep column k only modulo a power of two that does
-not grow with k: _chain_masked (the recurrence steps), _expand_range
-with masks (the product tree) and _taylor_shift_masked (p(x) to
+not grow with k: _chain_masked (the recurrence steps, carried on from
+a start row), the product tree (_expand_range with masks, and
+_mul_masked for one of its nodes) and _taylor_shift_masked (p(x) to
 p(x + 2**n), which states the precision it keeps). The first two reuse
 the exact routes' steps and reduce between them. The verifier builds
-its 2-adically truncated row 2**n with the first two and the shifted
-row (x + 2**n)_{2**n} with the recurrence and the Taylor shift of that
-row, and argues their soundness.
+every 2-adically truncated row 2**j of a run with one masked chain and
+one masked tree spine, checks each shifted row (x + 2**j)_{2**j}
+against the Taylor shift of row 2**j, and argues their soundness.
 """
 
 from __future__ import annotations
@@ -252,13 +253,19 @@ def _masked(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
     return [c & m for c, m in zip(coeffs, masks)]
 
 
-def _chain_masked(lo: int, hi: int, masks: Sequence[int]) -> list[int]:
-    """prod_{c in [lo, hi)} (x + c) by recurrence steps, reduced by masks.
+def _mul_masked(a: list[int], b: list[int], masks: Sequence[int]) -> list[int]:
+    # One node of the masked product tree: the product, reduced by masks.
+    return _masked(_poly_mul(a, b), masks)
+
+
+def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] = (1,)) -> list[int]:
+    """start * prod_{c in [lo, hi)} (x + c) by recurrence steps, reduced by masks.
 
     The steps are _expand_chain's; the row is reduced after every
-    _MASK_EVERY steps and after the last one.
+    _MASK_EVERY steps and after the last one. A start row carries a
+    chain on from where an earlier call left it.
     """
-    coeffs = [1]
+    coeffs = list(start)
     for c in range(lo, hi, _MASK_EVERY):
         coeffs = _masked(_expand_chain(c, min(c + _MASK_EVERY, hi), coeffs), masks)
     return coeffs

@@ -33,28 +33,38 @@ truth is truncated: column k of row N = 2**n is kept only modulo
   Precision. B_k = (max over j >= k of predict_valuation(n, j)) + 3,
       and B_0 = B_1, computed once per n (_precisions). B never grows
       with k. The margin of 3 lets a zero residue prove lemma24's lift
-      bound v2 >= v2(s(N, t)) + 2.
+      bound v2 >= v2(s(N, t)) + 2. A run whose largest n is top builds
+      every row 2**j, j <= top, at once (_truncated_rows), at the
+      joint precisions M*_k = max B^(j)_k over the j <= top with
+      2**j >= k. M* never grows with k either, and each row 2**j is
+      then reduced to its own B^(j) <= M*.
   Masking is exact. Reduction mod 2**b is a ring homomorphism, and
       column k of a product reads only columns <= k of its factors,
       each kept modulo 2**B_j with B_j >= B_k. So reducing column k
       mod 2**B_k after every product leaves every kept residue equal
-      to the exact coefficient's residue.
-  Two routes. Row N is built by the masked recurrence and the masked
-      product tree (stirling_core._chain_masked, _expand_range with
-      masks), which must agree. The shifted row (x + N)_N is built by
-      the masked recurrence, kept modulo row N's B, and by the
-      truncated Taylor shift of the checked row N by N
-      (_taylor_shift_masked): s_N(N, k) = sum_{i >= k} s(N, i) C(i, k)
-      N**(i-k). Term i of column k is known modulo 2**(B_i + n(i-k)),
-      so the shift knows column k modulo 2**B'_k, with
-      B'_k = min(B_k, B'_{k+1} + n), and sums only the terms with
-      n(i-k) < B'_k. The two must agree modulo 2**B'. By the drop bound
-      B falls by less than n per column, so B' = B whenever the
-      predictions hold; by Lemma 2.4 the shifted row's valuations are
-      row N's. Before a row is cached it must also meet invariants
-      that neither route computes: s(N, 0) = 0, s(N, 1) = (N-1)! and
-      s(N, N) = 1 mod 2**B_k; s_N(N, 0) = (2N-1)!/(N-1)! and
-      s_N(N, N) = 1 mod 2**B'_k.
+      to the exact coefficient's residue, and reducing a residue mod
+      2**M*_k further to 2**B_k gives the residue mod 2**B_k.
+  Two routes. Rows 2**j come from one masked recurrence over
+      [0, 2**top) (stirling_core._chain_masked, carried on from row
+      2**j to row 2**(j+1)) and one masked product tree: its left
+      spine, row 2**(j+1) = row 2**j times the right child
+      R_j = (x + 2**j)_{2**j} (_expand_range with masks). The two
+      must agree on every row 2**j. The shifted row (x + N)_N,
+      N = 2**n, is compared with the truncated Taylor shift of the
+      checked row N by N (_taylor_shift_masked):
+      s_N(N, k) = sum_{i >= k} s(N, i) C(i, k) N**(i-k). Term i of
+      column k is known modulo 2**(B_i + n(i-k)), so the shift knows
+      column k modulo 2**B'_k, with B'_k = min(B_k, B'_{k+1} + n), and
+      sums only the terms with n(i-k) < B'_k. The other route is the
+      right child R_n for n < top, checked before the spine multiplies
+      by it, and for n = top a masked recurrence over x + N ..
+      x + 2N - 1, kept modulo row N's B. The two must agree modulo
+      2**B'. By the drop bound B falls by less than n per column, so
+      B' = B whenever the predictions hold; by Lemma 2.4 the shifted
+      row's valuations are row N's. Before a row is cached it must
+      also meet invariants that neither route computes: s(N, 0) = 0,
+      s(N, 1) = (N-1)! and s(N, N) = 1 mod 2**B_k;
+      s_N(N, 0) = (2N-1)!/(N-1)! and s_N(N, N) = 1 mod 2**B'_k.
   Lifted row. Row N + 1 is row N times (x + N), computed by two paths
       (_truncated_lifted). Column k + 1 is N * r[k+1] + r[k], known
       modulo 2**min(B_k, B_{k+1} + n).
@@ -82,8 +92,9 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .formulas import predict_valuation
@@ -96,6 +107,7 @@ from .stirling_core import (
     _expand_chain,
     _expand_range,
     _masked,
+    _mul_masked,
     _poly_mul,
     _taylor_shift_masked,
     _times_linear,
@@ -268,7 +280,7 @@ def _precisions(n: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def _masks(bits: tuple[int, ...]) -> list[int]:
+def _masks(bits: Sequence[int]) -> list[int]:
     return [(1 << b) - 1 for b in bits]
 
 
@@ -279,45 +291,109 @@ def _require(name: str, coeffs: list[int], masks: list[int], known: dict[int, in
             raise ConsistencyError(f"truncated {name} fails its invariant at column {k}")
 
 
-@_capped_cache(32, lambda n: _check_row_args(2 ** n))
-def _truncated_plain(n: int) -> _Truncated:
-    """Row 2**n modulo 2**B_k, built by both masked routes, which must agree."""
-    top = 2 ** n
-    bits = _precisions(n)
+def _agreed(
+    name: str, route: list[int], other: list[int], bits: Sequence[int], known: dict[int, int]
+) -> _Truncated:
+    """The row both routes give modulo 2**bits, once they agree and meet the invariants."""
     masks = _masks(bits)
-    rec = _chain_masked(0, top, masks)
-    if rec != _expand_range(0, top, masks):
-        raise ConsistencyError(f"truncated routes disagree on row {top}")
-    _require(f"row {top}", rec, masks, {0: 0, 1: math.factorial(top - 1), top: 1})
-    return _Truncated(tuple(rec), bits)
+    row = _masked(route, masks)
+    if row != _masked(other, masks):
+        raise ConsistencyError(f"truncated routes disagree on {name}")
+    _require(name, row, masks, known)
+    return _Truncated(tuple(row), tuple(bits[: len(row)]))
+
+
+def _shifted_invariants(size: int) -> dict[int, int]:
+    return {0: math.perm(2 * size - 1, size), size: 1}
+
+
+@dataclass(frozen=True)
+class _RowSet:
+    """Rows 2**j for j <= top and shifted rows (2**j, 2**j) for j < top, at index j (index 0 is None)."""
+
+    plain: tuple[_Truncated | None, ...]
+    shifted: tuple[_Truncated | None, ...]
+
+
+@_capped_cache(32, lambda top: _check_row_args(2 ** top))
+def _truncated_rows(top: int) -> _RowSet:
+    """Every truncated row of a run whose largest n is top, from one build.
+
+    One masked recurrence over [0, 2**top) passes through every row
+    2**j. The masked tree's left spine multiplies row 2**j by its right
+    child R_j = (x + 2**j)_{2**j}, and from row 16 up its products are
+    the nodes of _expand_range(0, 2**top). Both run at the joint
+    precisions M*; row 2**j from each is reduced to its own B^(j).
+    R_j is checked as the shifted row (2**j, 2**j), against the Taylor
+    shift of row 2**j, before the spine multiplies by it. See the
+    module docstring (Precision, Two routes) for why this is sound.
+    """
+    bits = [_precisions(j) for j in range(1, top + 1)]
+    masks = _masks([max(col) for col in zip_longest(*bits, fillvalue=0)])
+    chain = _chain_masked(0, 1, masks)
+    tree = _expand_range(0, 1, masks)
+    plain: list[_Truncated | None] = [None]
+    shifted: list[_Truncated | None] = [None]
+    for j in range(top):
+        lo, hi = 2 ** j, 2 ** (j + 1)
+        right = _expand_range(lo, hi, masks)
+        if j:
+            taylor, taylor_bits = _taylor_shift_masked(plain[j].coeffs, plain[j].bits, j)
+            name = f"shifted row ({lo}, {lo})"
+            shifted.append(_agreed(name, right, taylor, taylor_bits, _shifted_invariants(lo)))
+        chain = _chain_masked(lo, hi, masks, chain)
+        tree = _mul_masked(tree, right, masks)
+        plain.append(_agreed(f"row {hi}", chain, tree, bits[j], {0: 0, 1: math.factorial(hi - 1), hi: 1}))
+    return _RowSet(tuple(plain), tuple(shifted))
+
+
+def _run_top(n: int, top: int | None) -> int:
+    # The build a check reads: its run's largest n, or n itself.
+    if top is None:
+        return n
+    if top < n:
+        raise DomainError(f"need top >= n, got top={top}, n={n}")
+    return top
+
+
+def _truncated_plain(n: int, top: int | None = None) -> _Truncated:
+    """Row 2**n modulo 2**B_k, read from the build for top (n by default)."""
+    return _truncated_rows(_run_top(n, top)).plain[n]
+
+
+def _truncated_shifted(n: int, top: int | None = None) -> _Truncated:
+    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k.
+
+    Below top it is the checked right child of the build for top;
+    at top it is _top_shifted(n).
+    """
+    top = _run_top(n, top)
+    return _truncated_rows(top).shifted[n] if n < top else _top_shifted(n)
 
 
 @_capped_cache(32, lambda n: _check_row_args(2 ** n, 2 ** n))
-def _truncated_shifted(n: int) -> _Truncated:
-    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k.
+def _top_shifted(n: int) -> _Truncated:
+    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k, for a run whose largest n is n.
 
-    One route is the masked recurrence over the factors x + 2**n ..
-    x + 2**(n+1) - 1, kept modulo row 2**n's B. The other is the
-    truncated Taylor shift of the checked row 2**n by 2**n
+    The build for n has no right child R_n, so one route is the masked
+    recurrence over the factors x + 2**n .. x + 2**(n+1) - 1, kept
+    modulo row 2**n's B. The other is the truncated Taylor shift of
+    the checked row 2**n by 2**n
     (_taylor_shift_masked): (x + N)_N is (x)_N at x + N. The shift
     knows column k only modulo 2**B'_k, B'_k = min(B_k, B'_{k+1} + n),
     so both routes are compared, and the invariants checked, modulo
     2**B'. Under the predictions B drops by less than n per column, so
     B' = B.
     """
-    top = 2 ** n
+    size = 2 ** n
     plain = _truncated_plain(n)
     taylor, bits = _taylor_shift_masked(plain.coeffs, plain.bits, n)
-    masks = _masks(bits)
-    chain = _masked(_chain_masked(top, 2 * top, _masks(plain.bits)), masks)
-    if chain != taylor:
-        raise ConsistencyError(f"truncated routes disagree on shifted row ({top}, {top})")
-    _require(f"shifted row ({top}, {top})", chain, masks, {0: math.perm(2 * top - 1, top), top: 1})
-    return _Truncated(tuple(chain), bits)
+    chain = _chain_masked(size, 2 * size, _masks(plain.bits))
+    return _agreed(f"shifted row ({size}, {size})", chain, taylor, bits, _shifted_invariants(size))
 
 
-@_capped_cache(32, lambda n: _check_row_args(2 ** n + 1))
-def _truncated_lifted(n: int) -> _Truncated:
+@_capped_cache(32, lambda n, top=None: _check_row_args(2 ** n + 1))
+def _truncated_lifted(n: int, top: int | None = None) -> _Truncated:
     """Row 2**n + 1, lifted from the truncated row 2**n.
 
     Row N + 1 is row N times (x + N), the rising factorial's next
@@ -329,23 +405,27 @@ def _truncated_lifted(n: int) -> _Truncated:
     known modulo 2**min(B_k, B_{k+1} + n). Column 0 is N * r[0] and the
     top column is r[N].
     """
-    top = 2 ** n
-    base = _truncated_plain(n)
-    step = _times_linear(base.coeffs, top)
-    if step != _poly_mul(list(base.coeffs), [top, 1]):
-        raise ConsistencyError(f"lift paths disagree on row {top + 1}")
+    size = 2 ** n
+    base = _truncated_plain(n, top)
+    step = _times_linear(base.coeffs, size)
+    if step != _poly_mul(list(base.coeffs), [size, 1]):
+        raise ConsistencyError(f"lift paths disagree on row {size + 1}")
     b = base.bits
     bits = (b[0] + n, *(min(lo, hi + n) for lo, hi in zip(b, b[1:])), b[-1])
     return _Truncated(tuple(_masked(step, _masks(bits))), bits)
 
 
-def check_theorem1(n: int) -> CheckReport:
-    """Compare predicted v2 against the truncated row s(2**n, .)."""
+def check_theorem1(n: int, *, top: int | None = None) -> CheckReport:
+    """Compare predicted v2 against the truncated row s(2**n, .).
+
+    top, here and in the other per-n checks, is the largest n of the
+    run (n by default): the rows are read from the one build for top.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    row = _truncated_plain(n)
+    row = _truncated_plain(n, top)
     for t in range(1, 2 ** n + 1):
         expected = predict_valuation(n, t).predicted
         actual = row.v2(t)
@@ -353,7 +433,7 @@ def check_theorem1(n: int) -> CheckReport:
     return col.report("theorem1", (n,), started)
 
 
-def check_theorem2(n: int) -> CheckReport:
+def check_theorem2(n: int, *, top: int | None = None) -> CheckReport:
     """Check v2(s(2**n + 1, k+1)) = v2(s(2**n, k)) for every k.
 
     Row 2**n is the truncated row of both masked routes; row 2**n + 1
@@ -363,8 +443,8 @@ def check_theorem2(n: int) -> CheckReport:
         raise DomainError(f"need n >= 1, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    lifted = _truncated_lifted(n)
-    base = _truncated_plain(n)
+    lifted = _truncated_lifted(n, top)
+    base = _truncated_plain(n, top)
     for k in range(1, 2 ** n + 1):
         expected = base.v2(k)
         actual = lifted.v2(k + 1)
@@ -372,7 +452,7 @@ def check_theorem2(n: int) -> CheckReport:
     return col.report("theorem2", (n,), started)
 
 
-def check_lemma24(n: int) -> CheckReport:
+def check_lemma24(n: int, *, top: int | None = None) -> CheckReport:
     """Check the shifted row s_{2**n}(2**n, .) against the plain row.
 
     Two conditions per column t: equal valuations, and the difference
@@ -385,8 +465,8 @@ def check_lemma24(n: int) -> CheckReport:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    plain = _truncated_plain(n)
-    shifted = _truncated_shifted(n)
+    plain = _truncated_plain(n, top)
+    shifted = _truncated_shifted(n, top)
     for t in range(1, 2 ** n + 1):
         v_plain = plain.v2(t)
         v_shift = shifted.v2(t)
@@ -403,13 +483,13 @@ def check_lemma24(n: int) -> CheckReport:
     return col.report("lemma24", (n,), started)
 
 
-def check_lemma25(n: int) -> CheckReport:
+def check_lemma25(n: int, *, top: int | None = None) -> CheckReport:
     """Check v2(s(2**n, 2i-1)) = v2(s(2**n, 2i)) + n - 1 for all pairs."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    row = _truncated_plain(n)
+    row = _truncated_plain(n, top)
     for i in range(1, 2 ** (n - 1) + 1):
         even = row.v2(2 * i)
         expected = (even[0] + n - 1, even[1])
@@ -464,7 +544,7 @@ def check_identities(m_max: int, n_max: int) -> CheckReport:
     return col.report("identities", (m_max, n_max), started)
 
 
-def check_inequalities(n: int) -> CheckReport:
+def check_inequalities(n: int, *, top: int | None = None) -> CheckReport:
     """Check the valuation inequalities on row s(2**n, .).
 
     Four families: v2(s(2**n,i+1)) >= v2(s(2**n,i-1)) - 2n + 4 for
@@ -481,11 +561,11 @@ def check_inequalities(n: int) -> CheckReport:
         raise DomainError(f"need n >= 2, got {n}")
     started = time.perf_counter()
     col = _Collector()
-    top = 2 ** n
-    lifted = _truncated_lifted(n)
-    row = _truncated_plain(n)
-    vals = [None] + [row.v2(t) for t in range(1, top + 1)] + [(INFINITE, True)]
-    for i in range(3, top):
+    size = 2 ** n
+    lifted = _truncated_lifted(n, top)
+    row = _truncated_plain(n, top)
+    vals = [None] + [row.v2(t) for t in range(1, size + 1)] + [(INFINITE, True)]
+    for i in range(3, size):
         bound = (vals[i - 1][0] - 2 * n + 4, vals[i - 1][1])
         col.add(
             "step_lower_bound",
@@ -494,7 +574,7 @@ def check_inequalities(n: int) -> CheckReport:
             _shown(vals[i + 1]),
             _at_least(vals[i + 1], bound),
         )
-    for k in range(1, top + 1):
+    for k in range(1, size + 1):
         bound = (vals[k][0] - n, vals[k][1])
         above = vals[k + 1]
         col.add(
@@ -505,7 +585,7 @@ def check_inequalities(n: int) -> CheckReport:
             _at_least(above, (bound[0] + 1, bound[1])),
         )
     v_first = vals[1]
-    for k in range(1, top + 1):
+    for k in range(1, size + 1):
         col.add(
             "max_at_first_index",
             (n, k),
@@ -513,14 +593,14 @@ def check_inequalities(n: int) -> CheckReport:
             _shown(vals[k]),
             _at_most(vals[k], v_first),
         )
-    for k in range(1, top + 1):
+    for k in range(1, size + 1):
         margin = bound_margin(n, k, row=lifted.coeffs)
         col.add("harmonic_bound", (n, k), "<= 0", margin, margin <= 0)
     return col.report("inequalities", (n,), started)
 
 
 def _run_task(task: tuple) -> CheckReport:
-    kind, arg = task
+    kind, arg, top = task
     if kind == "identities":
         return check_identities(*arg)
     runner = {
@@ -530,7 +610,7 @@ def _run_task(task: tuple) -> CheckReport:
         "lemma25": check_lemma25,
         "inequalities": check_inequalities,
     }[kind]
-    return runner(arg)
+    return runner(arg, top=top)
 
 
 def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> CheckReport:
@@ -539,9 +619,11 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
     checks is "all" or an iterable of ids from SUITE_IDS. The
     identities sweep does not depend on a single n, so it runs once
     with both axes set to n_max. Per-n checks are skipped for n below
-    their smallest valid argument. jobs > 1 fans independent tasks out
-    to worker processes; the merged report is identical either way.
-    jobs=None uses every available core.
+    their smallest valid argument, and read their truncated rows from
+    one build for n_max, made by the first check that needs it.
+    jobs > 1 fans independent tasks out to worker processes, each of
+    which makes that build once; the merged report is identical either
+    way. jobs=None uses every available core.
     """
     if n_min < 1 or n_min > n_max:
         raise DomainError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -558,14 +640,18 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
     tasks: list[tuple] = []
     for check in selected:
         if check == "identities":
-            tasks.append(("identities", (n_max, n_max)))
+            tasks.append(("identities", (n_max, n_max), None))
             continue
         for n in range(max(n_min, _SUITE_MIN_N[check]), n_max + 1):
-            tasks.append((check, n))
+            tasks.append((check, n, n_max))
 
     if jobs is None:
         jobs = _available_cores()
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: it loads multiprocessing, which a serial run
+        # never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 reports = list(pool.map(_run_task, tasks))

@@ -305,7 +305,7 @@ class TestVerifyCommand:
         # ones, so only the row invariants can catch it
         original = stirling_mod._times_linear
         monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
-        truncated = (verifier_mod._truncated_plain, verifier_mod._truncated_shifted, verifier_mod._truncated_lifted)
+        truncated = (verifier_mod._truncated_rows, verifier_mod._top_shifted, verifier_mod._truncated_lifted)
         for cache in truncated:
             cache.cache_clear()
         try:
@@ -314,7 +314,7 @@ class TestVerifyCommand:
             for cache in truncated:
                 cache.cache_clear()
         assert code == 1 and out == ""
-        assert err.startswith("internal consistency failure: truncated row 4 fails its invariant")
+        assert err.startswith("internal consistency failure: truncated row 2 fails its invariant")
 
     def test_same_report_under_optimize_flag(self):
         # `assert` vanishes under -O; a check that relies on it would

@@ -1,9 +1,15 @@
 """Brute-force verification suites: totals, fixtures, failure plumbing."""
 
+import functools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import stirval
 import stirval.formulas as formulas_mod
 import stirval.stirling_core as stirling_mod
 import stirval.verifier as verifier_mod
@@ -176,8 +182,8 @@ def _clear_row_caches():
     for cache in (
         verifier_mod._verified_plain_coeffs,
         verifier_mod._verified_shifted_coeffs,
-        verifier_mod._truncated_plain,
-        verifier_mod._truncated_shifted,
+        verifier_mod._truncated_rows,
+        verifier_mod._top_shifted,
         verifier_mod._truncated_lifted,
         stirling_mod._cached_coeffs,
     ):
@@ -233,16 +239,18 @@ class TestLiftedRow:
         for attr in ("_chain_masked", "_expand_range"):
             route = getattr(verifier_mod, attr)
 
-            def counted_route(lo, hi, masks, route=route, attr=attr):
+            def counted_route(lo, hi, *args, route=route, attr=attr):
                 calls.append((attr, hi - lo))
-                return route(lo, hi, masks)
+                return route(lo, hi, *args)
 
             monkeypatch.setattr(verifier_mod, attr, counted_route)
         r = run_suite(n, n, ["theorem2", "inequalities"], jobs=1)
         assert r.total > 0 and r.failures_total == 0
         assert not [c for c in calls if c[1] == 2**n + 1]
-        # row 2**n is built once by each masked route and never exactly
-        assert sorted(calls) == [("_chain_masked", 2**n), ("_expand_range", 2**n)]
+        # row 2**n is built once by each masked route, from the factors
+        # [0, 1), [1, 2), [2, 4), ..., [16, 32), and never exactly
+        blocks = [1] + [2**j for j in range(n)]
+        assert sorted(calls) == sorted((attr, size) for attr in ("_chain_masked", "_expand_range") for size in blocks)
 
     def test_disagreeing_lift_paths_raise(self, monkeypatch, fresh_caches):
         n = 5
@@ -371,15 +379,20 @@ class TestTruncatedRows:
 
     @pytest.mark.parametrize("route", ["_chain_masked", "_expand_range"])
     def test_planted_route_fault_names_row(self, monkeypatch, fresh_caches, route):
+        # The first output with a column 3 is the chain's row 4 and the
+        # tree's right child [4, 8), the shifted row (4, 4), which is
+        # checked against the Taylor shift of row 4 before use.
+        row = {"_chain_masked": "row 4", "_expand_range": r"shifted row \(4, 4\)"}[route]
         original = getattr(verifier_mod, route)
 
-        def plus_one(lo, hi, masks):
-            out = original(lo, hi, masks)
-            out[3] += 1
+        def plus_one(*args):
+            out = original(*args)
+            if len(out) > 3:
+                out[3] += 1
             return out
 
         monkeypatch.setattr(verifier_mod, route, plus_one)
-        with pytest.raises(ConsistencyError, match="truncated routes disagree on row 32$"):
+        with pytest.raises(ConsistencyError, match=f"truncated routes disagree on {row}$"):
             check_theorem1(5)
 
     @pytest.mark.parametrize("route", ["_chain_masked", "_taylor_shift_masked"])
@@ -420,19 +433,87 @@ class TestTruncatedRows:
     def test_shared_step_fault_fails_an_invariant(self, monkeypatch, fresh_caches):
         # (x + c + 1) in the step both routes share builds (x+1)...(x+N),
         # which the routes agree on and whose valuations Theorem 2 maps
-        # onto the right ones; its column 0 is N! and its column 1 is
-        # (N-1)! + N * s(N, 2), which differ from 0 and (N-1)! mod 2**B
+        # onto the right ones; its column 0 is N!, not 0 mod 2**B. The
+        # build checks every row 2**j on the way, so row 2 fails first.
         original = stirling_mod._times_linear
         monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
         for n in range(2, 11):
-            column = 0 if n == 2 else 1
-            with pytest.raises(ConsistencyError, match=f"row {2**n} fails its invariant at column {column}$"):
+            with pytest.raises(ConsistencyError, match="row 2 fails its invariant at column 0$"):
                 check_theorem1(n)
 
     def test_valuation_suites_pass_at_n_11(self):
         r = run_suite(11, 11, VALUATION_SUITES, jobs=1)
         assert r.total == _valuation_checks(11, 11) == 17405
         assert r.failures_total == 0
+
+
+class TestSharedBuild:
+    def test_rows_equal_exact_rows_reduced(self):
+        exact = {j: row_recurrence(2**j).coeffs for j in range(1, 11)}
+        shifted = {j: shifted_row_expand(2**j, 2**j).coeffs for j in range(1, 10)}
+        for top in range(1, 11):
+            rows = verifier_mod._truncated_rows(top)
+            assert len(rows.plain) == top + 1 and len(rows.shifted) == top
+            for j in range(1, top + 1):
+                plain = rows.plain[j]
+                assert plain.bits == verifier_mod._precisions(j)
+                assert plain.coeffs == _reduced(exact[j], plain.bits)
+                assert verifier_mod._truncated_plain(j, top) is plain
+            for j in range(1, top):
+                row = rows.shifted[j]
+                assert row.bits == _taylor_bits(rows.plain[j].bits, j)
+                assert row.coeffs == _reduced(shifted[j], row.bits)
+                assert verifier_mod._truncated_shifted(j, top) is row
+
+    def test_joint_precisions_cover_every_row(self, monkeypatch, fresh_caches):
+        # Smaller rows get more bits here than the top row: the build
+        # must keep the most any row needs, or rows 2**j < 2**top come
+        # out known to fewer bits than they claim.
+        monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (60 - 5 * n,) * (2**n + 1))
+        rows = verifier_mod._truncated_rows(6)
+        for j in range(1, 7):
+            assert rows.plain[j].bits == (60 - 5 * j,) * (2**j + 1)
+            assert rows.plain[j].coeffs == _reduced(row_recurrence(2**j).coeffs, rows.plain[j].bits)
+        for j in range(1, 6):
+            assert rows.shifted[j].coeffs == _reduced(shifted_row_expand(2**j, 2**j).coeffs, rows.shifted[j].bits)
+
+    def test_paper_range_runs_one_chain_one_spine_one_shifted_chain(self, monkeypatch, fresh_caches):
+        # The chain and the tree's right children cover the factors
+        # [0, 1024) once each, block by block; the spine multiplies ten
+        # times; only the shifted row at n = 10 has its own chain.
+        calls = {"_chain_masked": [], "_expand_range": [], "_mul_masked": []}
+        for attr, seen in calls.items():
+            route = getattr(verifier_mod, attr)
+
+            def counted(*args, route=route, seen=seen):
+                seen.append(tuple(args[:2]))
+                return route(*args)
+
+            monkeypatch.setattr(verifier_mod, attr, counted)
+        r = run_suite(2, 10, "all", jobs=1)
+        assert (r.total, r.failures_total) == (20089, 0)
+        blocks = [(0, 1)] + [(2**j, 2 ** (j + 1)) for j in range(10)]
+        assert calls["_chain_masked"] == blocks + [(1024, 2048)]
+        assert calls["_expand_range"] == blocks
+        assert len(calls["_mul_masked"]) == 10
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_planted_right_child_fault_names_shifted_row(self, monkeypatch, fresh_caches, j):
+        original = verifier_mod._expand_range
+
+        def plus_one(lo, hi, masks):
+            out = original(lo, hi, masks)
+            if lo == 2**j:
+                out[3] += 1
+            return out
+
+        monkeypatch.setattr(verifier_mod, "_expand_range", plus_one)
+        with pytest.raises(ConsistencyError, match=rf"truncated routes disagree on shifted row \({2**j}, {2**j}\)$"):
+            check_theorem1(5)
+
+    def test_top_below_n_rejected(self):
+        with pytest.raises(DomainError, match="top"):
+            check_theorem1(5, top=4)
 
 
 class TestRunSuite:
@@ -482,6 +563,43 @@ class TestRunSuite:
         assert parallel.range == serial.range
         assert parallel.total == serial.total
         assert parallel.failures == serial.failures
+
+    def test_jobs_do_not_change_the_report(self, fresh_caches, monkeypatch, tmp_path):
+        # A +1 in the formula gives failures past the sample cap to
+        # compare. Every task reads the rows of one build, for n_max,
+        # in whichever process runs it (forked workers log reads too).
+        original = formulas_mod.theorem1_valuation
+        monkeypatch.setattr(formulas_mod, "theorem1_valuation", lambda n, m, k: original(n, m, k) + 1)
+        log = tmp_path / "reads"
+        read = verifier_mod._truncated_rows
+
+        @functools.wraps(read)
+        def logged(top):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {top}\n")
+            return read(top)
+
+        monkeypatch.setattr(verifier_mod, "_truncated_rows", logged)
+        serial = run_suite(2, 7, "all", jobs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # pool may be unavailable in a sandbox
+            parallel = run_suite(2, 7, "all", jobs=2)
+        assert serial.failures_total == sum(2**n - 2 for n in range(2, 8)) > FAILURE_CAP
+        assert (parallel.total, parallel.failures_total) == (serial.total, serial.failures_total)
+        assert parallel.failures == serial.failures
+        assert {line.split()[1] for line in log.read_text().splitlines()} == {"7"}
+
+    def test_serial_run_never_loads_multiprocessing(self):
+        # The worker pool is imported only for jobs > 1.
+        src = str(Path(stirval.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = (
+            "import sys, stirval; r = stirval.run_suite(2, 3, 'all', jobs=1);"
+            "print(r.total, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == f"{run_suite(2, 3, 'all', jobs=1).total} []\n"
 
     def test_suite_ids_constant(self):
         assert set(SUITE_IDS) == {
