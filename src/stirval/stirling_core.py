@@ -29,11 +29,14 @@ substitution (pack the coefficients of a polynomial into one giant
 integer, multiply once, slice the product back apart).
 
 Three masked routes keep column k only modulo a power of two that does
-not grow with k: _chain_masked (the recurrence steps, carried on from
-a start row), the product tree (_expand_range with masks, and
-_mul_masked for one of its nodes) and _taylor_shift_masked (p(x) to
-p(x + 2**n), which states the precision it keeps). The first two reuse
-the exact routes' steps and reduce between them. The verifier builds
+not grow with k: _chain_masked (recurrence steps carried on from a
+start row, with its own step: columns wider than _PACK_SLOT_BITS one
+int each, the rest packed into bands of slots that one shift, one
+multiply and one AND step at once), the product tree (_expand_range
+with masks, and _mul_masked for one of its nodes, which reuse the
+exact tree's steps and reduce between them) and _taylor_shift_masked
+(p(x) to p(x + 2**n), which states the precision it keeps). The chain
+and the tree share no arithmetic. The verifier builds
 every 2-adically truncated row 2**j of a run with one masked chain and
 one masked tree spine, checks each shifted row (x + 2**j)_{2**j}
 against the Taylor shift of row 2**j, and argues their soundness.
@@ -236,10 +239,22 @@ def _expand_range(lo: int, hi: int, masks: Sequence[int] | None = None) -> list[
     return out if masks is None else _masked(out, masks)
 
 
-# The masked recurrence reduces its row once per this many steps; in
-# between, each coefficient grows by at most this many times the bit
-# length of the largest factor, which stays small beside the masks.
+# The masked chain's per-element head reduces its columns once per this
+# many steps; in between, each grows by at most this many times the bit
+# length of the largest factor, which stays small beside its masks.
 _MASK_EVERY = 32
+
+# The masked chain keeps a column whose slot would be wider than this
+# many bits as one int, and packs narrower columns into bands. Narrow
+# columns are bound by per-int overhead, wide ones by arithmetic, which
+# a band does several times over: both chains of a build at top = 12
+# took 3.0-3.4 s with this crossover, 3.8-4.5 s packing every column
+# and 3.1-3.8 s packing none (three interleaved runs, Python 3.11).
+_PACK_SLOT_BITS = 2 ** 10
+
+# A column whose slot need, times this, falls below its band's slot
+# width starts a new band. Ratios 1.25, 1.5 and 2 timed within a few %.
+_BAND_RATIO = 1.5
 
 
 def _masked(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
@@ -258,17 +273,118 @@ def _mul_masked(a: list[int], b: list[int], masks: Sequence[int]) -> list[int]:
     return _masked(_poly_mul(a, b), masks)
 
 
+def _band_layout(bits: Sequence[int], factor_bits: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """Split a masked row into its per-element head and its bands.
+
+    Column k is kept to bits[k] bits, which never grow with k, and
+    factors have at most factor_bits bits. A step writes c*a_k + a_{k-1}
+    into column k, so its slot needs max(bits[k-1], bits[k]) +
+    factor_bits + 1 bits. Returns the head's length, the leading columns
+    whose need exceeds _PACK_SLOT_BITS, and (first, stop, width) for
+    each band over the rest: width is the band's first (largest) need
+    rounded up to whole bytes, and a column whose need times _BAND_RATIO
+    falls below it starts the next band.
+    """
+    needs = [max(prev, b) + factor_bits + 1 for prev, b in zip([0, *bits], bits)]
+    head = 0
+    while head < len(needs) and needs[head] > _PACK_SLOT_BITS:
+        head += 1
+    bands = []
+    first = head
+    while first < len(needs):
+        width = -(-needs[first] // 8) * 8
+        stop = first + 1
+        while stop < len(needs) and needs[stop] * _BAND_RATIO >= width:
+            stop += 1
+        bands.append((first, stop, width))
+        first = stop
+    return head, bands
+
+
+def _band_step(packed: list[int], c: int, carry: int, bands: Sequence[tuple[int, int, int]]) -> list[int]:
+    """One step a_k <- c*a_k + a_{k-1} of every band.
+
+    bands holds (slot width, offset of the top slot, packed masks) per
+    band; carry is the column before the first band. Each band's carry
+    is the previous band's top slot from before the step.
+    """
+    out = []
+    for p, (width, top, mask) in zip(packed, bands):
+        out.append(((p << width) + c * p + carry) & mask)
+        carry = p >> top
+    return out
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    # values as slots of width bits (whole bytes), the first one lowest.
+    nbytes = width // 8
+    return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
+
+
 def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] = (1,)) -> list[int]:
     """start * prod_{c in [lo, hi)} (x + c) by recurrence steps, reduced by masks.
 
-    The steps are _expand_chain's; the row is reduced after every
-    _MASK_EVERY steps and after the last one. A start row carries a
-    chain on from where an earlier call left it.
+    A start row carries a chain on from where an earlier call left it.
+    The result has one column per mask at most, each reduced, so it
+    equals _masked(_expand_chain(lo, hi, start), masks) whenever
+    hi > lo. Masks must be 2**b_k - 1 with b_k never growing with k;
+    other masks raise DomainError, as does a factor x + c with c < 0.
+
+    The row is held at its final length, zero-padded. _band_layout keeps
+    its leading columns whose slots would be wider than _PACK_SLOT_BITS
+    as a list, the head, stepped one int per column and reduced after
+    every _MASK_EVERY steps and the last one. The other columns go into
+    bands: one int per band, slot i at bit i*W, holding column first + i.
+    Each step replaces band p by ((p << W) + c*p + carry) & packed_masks.
+    That is exact:
+      - Slot i then holds c*a_i + a_{i-1}, with a_{i-1} the slot below
+        or, for slot 0, the carry. Every a_j is below 2**b_j, c below
+        2**bits(hi - 1), and W is at least the max b over the band's
+        columns and the column before it plus bits(hi - 1) + 1, so the
+        sum is below 2**W and no slot carries into the next.
+      - The AND is the column-wise reduction mod 2**b_k. Reducing after
+        every step is exact only because the masks never grow with k
+        (see _masked); with growing ones a column would read its
+        neighbour at fewer bits than it keeps, hence the refusal.
+      - The slot shifted out of a band's top is the band's last column
+        before the step, which is exactly what the next band's first
+        column adds, so the next band's carry is that slot taken before
+        the step. The first band's carry is the head's last column
+        before the step, reduced by its mask.
+    The chain shares no arithmetic with the masked product tree.
     """
-    coeffs = list(start)
-    for c in range(lo, hi, _MASK_EVERY):
-        coeffs = _masked(_expand_chain(c, min(c + _MASK_EVERY, hi), coeffs), masks)
-    return coeffs
+    if hi <= lo:
+        return list(start)
+    if lo < 0:
+        raise DomainError(f"masked chain needs factors x + c with c >= 0, got lo={lo}")
+    size = min(len(start) + hi - lo, len(masks))
+    masks = masks[:size]
+    bits = [m.bit_length() for m in masks]
+    if any(m < 0 or m & (m + 1) for m in masks) or any(b < after for b, after in zip(bits, bits[1:])):
+        raise DomainError("masked chain needs masks 2**b - 1 whose b never grows with the column")
+    row = _masked(start, masks)
+    row += [0] * (size - len(row))
+    head_len, layout = _band_layout(bits, (hi - 1).bit_length())
+    head = row[:head_len]
+    packed = [_pack(row[first:stop], width) for first, stop, width in layout]
+    bands = [
+        (width, width * (stop - first - 1), _pack(masks[first:stop], width))
+        for first, stop, width in layout
+    ]
+    last = masks[head_len - 1] if head else 0
+    carry = 0
+    for block in range(lo, hi, _MASK_EVERY):
+        for c in range(block, min(block + _MASK_EVERY, hi)):
+            if head:
+                carry = head[-1] & last
+                head = [c * head[0]] + [c * v + u for u, v in zip(head, head[1:])]
+            packed = _band_step(packed, c, carry, bands)
+        head = _masked(head, masks)
+    for p, (first, stop, width) in zip(packed, layout):
+        nbytes = width // 8
+        raw = p.to_bytes((stop - first) * nbytes, "little")
+        head += [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    return head
 
 
 def _taylor_shift_masked(
@@ -283,7 +399,8 @@ def _taylor_shift_masked(
     min(bits[k], B'_{k+1} + n), computed right to left. Terms with
     n(i-k) >= B'_k vanish modulo 2**B'_k and are never formed. Returns
     the residues and B'. B' equals bits wherever bits drops by at most
-    n per column.
+    n per column. Each binomial comes from the one before it,
+    C(k+j+1, j+1) = C(k+j, j) * (k+j+1) / (j+1), an exact division.
     """
     top = len(coeffs) - 1
     shifted_bits = list(bits)
@@ -291,9 +408,10 @@ def _taylor_shift_masked(
         shifted_bits[k] = min(bits[k], shifted_bits[k + 1] + n)
     out = []
     for k, b in enumerate(shifted_bits):
-        total = 0
+        total, binom = 0, 1
         for j in range(min(top - k, (b - 1) // n) + 1):
-            total += (coeffs[k + j] * math.comb(k + j, j)) << (n * j)
+            total += (coeffs[k + j] * binom) << (n * j)
+            binom = binom * (k + j + 1) // (j + 1)
         out.append(total & ((1 << b) - 1))
     return out, tuple(shifted_bits)
 

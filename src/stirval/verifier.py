@@ -49,7 +49,10 @@ truth is truncated: column k of row N = 2**n is kept only modulo
       2**j to row 2**(j+1)) and one masked product tree: its left
       spine, row 2**(j+1) = row 2**j times the right child
       R_j = (x + 2**j)_{2**j} (_expand_range with masks). The two
-      must agree on every row 2**j. The shifted row (x + N)_N,
+      share no step: the chain steps its wide columns one int each
+      and its narrow ones as packed bands, while the tree's leaves
+      use _times_linear and its nodes _poly_mul. They must agree on
+      every row 2**j. The shifted row (x + N)_N,
       N = 2**n, is compared with the truncated Taylor shift of the
       checked row N by N (_taylor_shift_masked):
       s_N(N, k) = sum_{i >= k} s(N, i) C(i, k) N**(i-k). Term i of

@@ -134,6 +134,123 @@ class TestDecimalMultiply:
         assert tree == row_recurrence(600).coeffs
 
 
+def _edge(hi):
+    # The b at which a column's slot need, max(b_{k-1}, b_k) +
+    # bits(hi - 1) + 1, meets _PACK_SLOT_BITS.
+    return stirling_mod._PACK_SLOT_BITS - (hi - 1).bit_length() - 1
+
+
+@st.composite
+def _chain_cases(draw):
+    # (lo, hi, masks, start) with masks 2**b - 1, b never growing; some
+    # b sit at the pack crossover.
+    lo = draw(st.one_of(st.integers(0, 40), st.integers(2**20, 2**64)))
+    hi = lo + draw(st.integers(1, 40))
+    edge = _edge(hi)
+    bit = st.one_of(
+        st.just(0),
+        st.integers(0, 64),
+        st.sampled_from([edge - 1, edge, edge + 1]),
+        st.integers(0, 2 * edge),
+    )
+    start = draw(st.lists(st.integers(0, 2**1200), min_size=1, max_size=12))
+    bits = draw(st.lists(bit, max_size=len(start) + hi - lo + 4))
+    return lo, hi, [(1 << b) - 1 for b in sorted(bits, reverse=True)], start
+
+
+class TestMaskedChain:
+    @settings(deadline=None, max_examples=200)
+    @given(_chain_cases())
+    @example((0, 30, [(1 << 3000) - 1] * 20, [1]))  # all head
+    @example((3, 40, [(1 << 200) - 1] * 10 + [(1 << 9) - 1] * 30, [5, 7]))  # all packed
+    @example((0, 25, [(1 << 90) - 1] * 4 + [0] * 30, [1]))  # zero-bit columns
+    @example((7, 37, [(1 << b) - 1 for b in [_edge(37) + 1] * 3 + [_edge(37)] * 3 + [_edge(37) - 1] * 3], [2**1100] * 4))
+    @example((0, 9, [(1 << 40) - 1] * 3, [3**50] * 10))  # start longer than masks
+    @example((2**60, 2**60 + 30, [(1 << 700) - 1] * 20 + [(1 << 60) - 1] * 12, [1]))  # large lo
+    def test_equals_masked_exact_chain(self, case):
+        lo, hi, masks, start = case
+        expected = stirling_mod._masked(stirling_mod._expand_chain(lo, hi, start), masks)
+        assert stirling_mod._chain_masked(lo, hi, masks, start) == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(st.integers(0, 3000), max_size=60).map(lambda b: sorted(b, reverse=True)),
+        st.integers(0, 64),
+    )
+    def test_layout_slots_hold_every_step(self, bits, factor_bits):
+        head, bands = stirling_mod._band_layout(bits, factor_bits)
+        needs = [max(prev, b) + factor_bits + 1 for prev, b in zip([0, *bits], bits)]
+        assert all(need > stirling_mod._PACK_SLOT_BITS for need in needs[:head])
+        assert [k for first, stop, _ in bands for k in range(first, stop)] == list(range(head, len(bits)))
+        for first, stop, width in bands:
+            assert width % 8 == 0
+            assert all(needs[k] <= width for k in range(first, stop))
+
+    def test_column_at_the_crossover_is_packed(self):
+        factor_bits = 10
+        edge = stirling_mod._PACK_SLOT_BITS - factor_bits - 1
+        head, bands = stirling_mod._band_layout([edge + 1, edge + 1, edge, edge, 3, 0], factor_bits)
+        # column 2 still needs edge + 1 for its neighbour below
+        assert head == 3
+        assert bands[0][0] == 3 and bands[0][2] == stirling_mod._PACK_SLOT_BITS
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(st.integers(0, 300), min_size=1, max_size=12).map(lambda b: sorted(b, reverse=True)),
+        st.integers(1, 50),
+        st.integers(1, 20),
+        st.data(),
+    )
+    def test_growing_masks_refused(self, bits, grow, steps, data):
+        k = data.draw(st.integers(0, len(bits) - 1))
+        bits = bits[: k + 1] + [bits[k] + grow] + bits[k + 1 :]
+        with pytest.raises(DomainError, match="never grows"):
+            stirling_mod._chain_masked(0, steps, [(1 << b) - 1 for b in bits], [1] * len(bits))
+
+    @pytest.mark.parametrize("masks", [[15, 6, 3], [-1, 3]])
+    def test_masks_must_be_powers_of_two_less_one(self, masks):
+        with pytest.raises(DomainError, match="2\\*\\*b - 1"):
+            stirling_mod._chain_masked(0, 4, masks, [1])
+
+    def test_negative_factor_refused(self):
+        with pytest.raises(DomainError, match="c >= 0"):
+            stirling_mod._chain_masked(-1, 4, [15, 7, 3], [1])
+
+    def test_empty_range_returns_start(self):
+        assert stirling_mod._chain_masked(5, 5, [1], [7, 9]) == [7, 9]
+
+
+def _taylor_reference(coeffs, bits, n):
+    # Every term of p(x + 2**n), with math.comb, reduced to B'_k =
+    # min over i >= k of bits[i] + n(i - k).
+    top = len(coeffs) - 1
+    shifted = [min(bits[i] + n * (i - k) for i in range(k, top + 1)) for k in range(top + 1)]
+    out = [
+        sum(coeffs[i] * math.comb(i, k) << (n * (i - k)) for i in range(k, top + 1)) % (1 << b)
+        for k, b in enumerate(shifted)
+    ]
+    return out, tuple(shifted)
+
+
+@st.composite
+def _taylor_cases(draw):
+    # (n, residues, bits): any bit profile, so B' cuts wherever bits
+    # drops by more than n per column.
+    bits = draw(st.lists(st.integers(0, 400), min_size=1, max_size=40))
+    coeffs = [draw(st.integers(0, (1 << b) - 1)) for b in bits]
+    return draw(st.integers(1, 12)), coeffs, bits
+
+
+class TestTaylorShift:
+    @settings(deadline=None, max_examples=150)
+    @given(_taylor_cases())
+    @example((3, [2**60 - 1, 2**50 - 1, 2**10 - 1, 2**9 - 1, 3, 0], [60, 50, 10, 9, 2, 0]))  # drops of 40 and 8 cut B'
+    @example((1, [0, 0, 0], [0, 0, 0]))
+    def test_matches_comb_reference(self, case):
+        n, coeffs, bits = case
+        assert stirling_mod._taylor_shift_masked(coeffs, bits, n) == _taylor_reference(coeffs, bits, n)
+
+
 class TestStirlingAccessor:
     def test_values(self):
         assert stirling(8, 5) == 1960

@@ -199,6 +199,16 @@ def fresh_caches():
     _clear_row_caches()
 
 
+def _plant_next_factor_in_both_routes(monkeypatch):
+    # (x + c + 1) for (x + c) in both truncated routes: the tree's leaves
+    # step through _times_linear, and the masked chain, which has its
+    # own step, runs over factors shifted by one.
+    original = stirling_mod._times_linear
+    monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+    chain = verifier_mod._chain_masked
+    monkeypatch.setattr(verifier_mod, "_chain_masked", lambda lo, hi, *args: chain(lo + 1, hi + 1, *args))
+
+
 def _reduced(coeffs, bits):
     return tuple(c % (1 << b) for c, b in zip(coeffs, bits, strict=True))
 
@@ -431,15 +441,47 @@ class TestTruncatedRows:
         assert shifted.coeffs == _reduced(expected, shifted.bits)
 
     def test_shared_step_fault_fails_an_invariant(self, monkeypatch, fresh_caches):
-        # (x + c + 1) in the step both routes share builds (x+1)...(x+N),
-        # which the routes agree on and whose valuations Theorem 2 maps
-        # onto the right ones; its column 0 is N!, not 0 mod 2**B. The
-        # build checks every row 2**j on the way, so row 2 fails first.
-        original = stirling_mod._times_linear
-        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        # (x + c + 1) in both routes builds (x+1)...(x+N), which the
+        # routes agree on and whose valuations Theorem 2 maps onto the
+        # right ones; its column 0 is N!, not 0 mod 2**B. The build
+        # checks every row 2**j on the way, so row 2 fails first.
+        _plant_next_factor_in_both_routes(monkeypatch)
         for n in range(2, 11):
             with pytest.raises(ConsistencyError, match="row 2 fails its invariant at column 0$"):
                 check_theorem1(n)
+
+    def test_step_fault_in_tree_leaves_only_splits_the_routes(self, monkeypatch, fresh_caches):
+        # The masked chain steps its own head and bands, so (x + c + 1)
+        # in _times_linear reaches only the tree's leaves.
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        with pytest.raises(ConsistencyError, match="truncated routes disagree on row 2$"):
+            check_theorem1(5)
+
+    @pytest.mark.parametrize("head_bits", [None, 64])
+    @pytest.mark.parametrize("fault", ["no_headroom", "carry_after_step", "carry_dropped"])
+    def test_packed_step_fault_splits_the_routes(self, monkeypatch, fresh_caches, fault, head_bits):
+        # Row 256's columns are all narrow enough to pack; with a 64-bit
+        # crossover the widest stay in the head, whose carry feeds band 0.
+        if head_bits is not None:
+            monkeypatch.setattr(stirling_mod, "_PACK_SLOT_BITS", head_bits)
+        if fault == "no_headroom":
+            layout = stirling_mod._band_layout
+            monkeypatch.setattr(stirling_mod, "_band_layout", lambda bits, factor_bits: layout(bits, -1))
+        else:
+
+            def step(packed, c, carry, bands):
+                out = []
+                for p, (width, top, mask) in zip(packed, bands):
+                    out.append(((p << width) + c * p + carry) & mask)
+                    carry = (out[-1] if fault == "carry_after_step" else p) >> top
+                    if fault == "carry_dropped":
+                        carry = 0
+                return out
+
+            monkeypatch.setattr(stirling_mod, "_band_step", step)
+        with pytest.raises(ConsistencyError, match="truncated routes disagree on row "):
+            check_theorem1(8)
 
     def test_valuation_suites_pass_at_n_11(self):
         r = run_suite(11, 11, VALUATION_SUITES, jobs=1)
