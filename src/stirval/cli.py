@@ -71,7 +71,7 @@ def _global_flags() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=argparse.SUPPRESS,
-        help="verifier worker processes (default: available cores)",
+        help="verifier worker processes (default: 1)",
     )
     return parent
 
@@ -366,7 +366,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     # global flags use SUPPRESS so a value given before the subcommand
     # survives the subparser pass; fill the gaps here
-    for dest, fallback in (("format", "text"), ("cache_dir", None), ("max_n", None), ("jobs", None)):
+    for dest, fallback in (("format", "text"), ("cache_dir", None), ("max_n", None), ("jobs", 1)):
         if not hasattr(args, dest):
             setattr(args, dest, fallback)
     if args.max_n is not None and args.max_n < 0:

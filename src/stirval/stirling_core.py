@@ -38,8 +38,10 @@ exact tree's steps and reduce between them) and _taylor_shift_masked
 (p(x) to p(x + 2**n), which states the precision it keeps). The chain
 and the tree share no arithmetic. The verifier builds
 every 2-adically truncated row 2**j of a run with one masked chain and
-one masked tree spine, checks each shifted row (x + 2**j)_{2**j}
-against the Taylor shift of row 2**j, and argues their soundness.
+one masked tree spine, keeps the spine's right children
+(x + 2**j)_{2**j}, checks each such shifted row against the Taylor
+shift of row 2**j only where it reads that row, and argues their
+soundness.
 """
 
 from __future__ import annotations

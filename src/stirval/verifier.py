@@ -52,22 +52,28 @@ truth is truncated: column k of row N = 2**n is kept only modulo
       share no step: the chain steps its wide columns one int each
       and its narrow ones as packed bands, while the tree's leaves
       use _times_linear and its nodes _poly_mul. They must agree on
-      every row 2**j. The shifted row (x + N)_N,
-      N = 2**n, is compared with the truncated Taylor shift of the
-      checked row N by N (_taylor_shift_masked):
+      every row 2**j, and that is all the build checks. It keeps each
+      R_j, reduced to row 2**j's B, unchecked. That is sound: every
+      row 2**j the checks read is compared with the chain's, whatever
+      R_j was. A fault in R_j that changes some row 2**i, i > j, as
+      the checks read it fails that comparison, before any check
+      result; one that changes none reaches only the kept R_j. Each
+      shifted row (x + N)_N, N = 2**n, is checked where lemma24 reads
+      it (_truncated_shifted): it is compared with the truncated
+      Taylor shift of the checked row N by N (_taylor_shift_masked):
       s_N(N, k) = sum_{i >= k} s(N, i) C(i, k) N**(i-k). Term i of
       column k is known modulo 2**(B_i + n(i-k)), so the shift knows
       column k modulo 2**B'_k, with B'_k = min(B_k, B'_{k+1} + n), and
       sums only the terms with n(i-k) < B'_k. The other route is the
-      right child R_n for n < top, checked before the spine multiplies
-      by it, and for n = top a masked recurrence over x + N ..
-      x + 2N - 1, kept modulo row N's B. The two must agree modulo
+      kept right child R_n for n < top, and for n = top a masked
+      recurrence over x + N .. x + 2N - 1, kept modulo row N's B. Both
+      are known modulo 2**B, and B' <= B, so the two must agree modulo
       2**B'. By the drop bound B falls by less than n per column, so
       B' = B whenever the predictions hold; by Lemma 2.4 the shifted
-      row's valuations are row N's. Before a row is cached it must
-      also meet invariants that neither route computes: s(N, 0) = 0,
-      s(N, 1) = (N-1)! and s(N, N) = 1 mod 2**B_k;
-      s_N(N, 0) = (2N-1)!/(N-1)! and s_N(N, N) = 1 mod 2**B'_k.
+      row's valuations are row N's. Each row must also meet invariants
+      that neither route computes: s(N, 0) = 0, s(N, 1) = (N-1)! and
+      s(N, N) = 1 mod 2**B_k; s_N(N, 0) = (2N-1)!/(N-1)! and
+      s_N(N, N) = 1 mod 2**B'_k.
   Lifted row. Row N + 1 is row N times (x + N), computed by two paths
       (_truncated_lifted). Column k + 1 is N * r[k+1] + r[k], known
       modulo 2**min(B_k, B_{k+1} + n).
@@ -92,7 +98,6 @@ truth is truncated: column k of row N = 2**n is kept only modulo
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
 from collections.abc import Sequence
@@ -306,48 +311,47 @@ def _agreed(
     return _Truncated(tuple(row), tuple(bits[: len(row)]))
 
 
-def _shifted_invariants(size: int) -> dict[int, int]:
-    return {0: math.perm(2 * size - 1, size), size: 1}
-
-
 @dataclass(frozen=True)
 class _RowSet:
-    """Rows 2**j for j <= top and shifted rows (2**j, 2**j) for j < top, at index j (index 0 is None)."""
+    """One build for top, at index j (index 0 is None).
+
+    plain[j] is the checked row 2**j, j <= top. right[j] is the tree's
+    right child R_j = (x + 2**j)_{2**j}, j < top, reduced to row 2**j's
+    B: unchecked, until _truncated_shifted reads it.
+    """
 
     plain: tuple[_Truncated | None, ...]
-    shifted: tuple[_Truncated | None, ...]
+    right: tuple[tuple[int, ...] | None, ...]
 
 
 @_capped_cache(32, lambda top: _check_row_args(2 ** top))
 def _truncated_rows(top: int) -> _RowSet:
-    """Every truncated row of a run whose largest n is top, from one build.
+    """Every truncated row 2**j of a run whose largest n is top, from one build.
 
     One masked recurrence over [0, 2**top) passes through every row
     2**j. The masked tree's left spine multiplies row 2**j by its right
     child R_j = (x + 2**j)_{2**j}, and from row 16 up its products are
     the nodes of _expand_range(0, 2**top). Both run at the joint
-    precisions M*; row 2**j from each is reduced to its own B^(j).
-    R_j is checked as the shifted row (2**j, 2**j), against the Taylor
-    shift of row 2**j, before the spine multiplies by it. See the
-    module docstring (Precision, Two routes) for why this is sound.
+    precisions M*; row 2**j from each is reduced to its own B^(j), and
+    the two must agree. The build checks nothing else: once the spine
+    has used R_j it is kept reduced to B^(j), for _truncated_shifted.
+    See the module docstring (Precision, Two routes) for why this is
+    sound.
     """
     bits = [_precisions(j) for j in range(1, top + 1)]
     masks = _masks([max(col) for col in zip_longest(*bits, fillvalue=0)])
     chain = _chain_masked(0, 1, masks)
     tree = _expand_range(0, 1, masks)
     plain: list[_Truncated | None] = [None]
-    shifted: list[_Truncated | None] = [None]
+    right: list[tuple[int, ...] | None] = []
     for j in range(top):
         lo, hi = 2 ** j, 2 ** (j + 1)
-        right = _expand_range(lo, hi, masks)
-        if j:
-            taylor, taylor_bits = _taylor_shift_masked(plain[j].coeffs, plain[j].bits, j)
-            name = f"shifted row ({lo}, {lo})"
-            shifted.append(_agreed(name, right, taylor, taylor_bits, _shifted_invariants(lo)))
+        child = _expand_range(lo, hi, masks)
         chain = _chain_masked(lo, hi, masks, chain)
-        tree = _mul_masked(tree, right, masks)
+        tree = _mul_masked(tree, child, masks)
+        right.append(tuple(_masked(child, _masks(plain[j].bits))) if j else None)
         plain.append(_agreed(f"row {hi}", chain, tree, bits[j], {0: 0, 1: math.factorial(hi - 1), hi: 1}))
-    return _RowSet(tuple(plain), tuple(shifted))
+    return _RowSet(tuple(plain), tuple(right))
 
 
 def _run_top(n: int, top: int | None) -> int:
@@ -365,34 +369,26 @@ def _truncated_plain(n: int, top: int | None = None) -> _Truncated:
 
 
 def _truncated_shifted(n: int, top: int | None = None) -> _Truncated:
-    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k.
+    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k, checked here, where it is read.
 
-    Below top it is the checked right child of the build for top;
-    at top it is _top_shifted(n).
-    """
-    top = _run_top(n, top)
-    return _truncated_rows(top).shifted[n] if n < top else _top_shifted(n)
-
-
-@_capped_cache(32, lambda n: _check_row_args(2 ** n, 2 ** n))
-def _top_shifted(n: int) -> _Truncated:
-    """Shifted row (x + 2**n)_{2**n} modulo 2**B'_k, for a run whose largest n is n.
-
-    The build for n has no right child R_n, so one route is the masked
-    recurrence over the factors x + 2**n .. x + 2**(n+1) - 1, kept
-    modulo row 2**n's B. The other is the truncated Taylor shift of
-    the checked row 2**n by 2**n
-    (_taylor_shift_masked): (x + N)_N is (x)_N at x + N. The shift
+    One route is the truncated Taylor shift of the checked row 2**n by
+    2**n (_taylor_shift_masked): (x + N)_N is (x)_N at x + N. The shift
     knows column k only modulo 2**B'_k, B'_k = min(B_k, B'_{k+1} + n),
     so both routes are compared, and the invariants checked, modulo
-    2**B'. Under the predictions B drops by less than n per column, so
-    B' = B.
+    2**B'. The other route is the right child R_n that the build for
+    top kept modulo row 2**n's B, for n < top. The build has no R_top,
+    so for n = top it is the masked recurrence over the factors
+    x + 2**n .. x + 2**(n+1) - 1, kept modulo that B. Under the
+    predictions B drops by less than n per column, so B' = B.
     """
+    top = _run_top(n, top)
     size = 2 ** n
-    plain = _truncated_plain(n)
+    rows = _truncated_rows(top)
+    plain = rows.plain[n]
     taylor, bits = _taylor_shift_masked(plain.coeffs, plain.bits, n)
-    chain = _chain_masked(size, 2 * size, _masks(plain.bits))
-    return _agreed(f"shifted row ({size}, {size})", chain, taylor, bits, _shifted_invariants(size))
+    route = rows.right[n] if n < top else _chain_masked(size, 2 * size, _masks(plain.bits))
+    known = {0: math.perm(2 * size - 1, size), size: 1}
+    return _agreed(f"shifted row ({size}, {size})", route, taylor, bits, known)
 
 
 @_capped_cache(32, lambda n, top=None: _check_row_args(2 ** n + 1))
@@ -616,7 +612,7 @@ def _run_task(task: tuple) -> CheckReport:
     return runner(arg, top=top)
 
 
-def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> CheckReport:
+def run_suite(n_min: int, n_max: int, checks="all", jobs: int = 1) -> CheckReport:
     """Run the selected checks for every n in [n_min, n_max] and merge.
 
     checks is "all" or an iterable of ids from SUITE_IDS. The
@@ -626,11 +622,11 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
     one build for n_max, made by the first check that needs it.
     jobs > 1 fans independent tasks out to worker processes, each of
     which makes that build once; the merged report is identical either
-    way. jobs=None uses every available core.
+    way.
     """
     if n_min < 1 or n_min > n_max:
         raise DomainError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    if jobs is not None and jobs < 1:
+    if jobs < 1:
         raise DomainError(f"need jobs >= 1, got {jobs}")
     if checks == "all":
         selected = list(SUITE_IDS)
@@ -648,8 +644,6 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
         for n in range(max(n_min, _SUITE_MIN_N[check]), n_max + 1):
             tasks.append((check, n, n_max))
 
-    if jobs is None:
-        jobs = _available_cores()
     if jobs > 1 and len(tasks) > 1:
         # Imported here: it loads multiprocessing, which a serial run
         # never needs.
@@ -674,9 +668,3 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int | None = 1) -> Che
     suite = "all" if checks == "all" else "+".join(selected)
     return CheckReport(suite, (n_min, n_max), total, failed, failures, time.perf_counter() - started)
 
-
-def _available_cores() -> int:
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1

@@ -308,7 +308,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
         chain = verifier_mod._chain_masked
         monkeypatch.setattr(verifier_mod, "_chain_masked", lambda lo, hi, *args: chain(lo + 1, hi + 1, *args))
-        truncated = (verifier_mod._truncated_rows, verifier_mod._top_shifted, verifier_mod._truncated_lifted)
+        truncated = (verifier_mod._truncated_rows, verifier_mod._truncated_lifted)
         for cache in truncated:
             cache.cache_clear()
         try:
@@ -336,6 +336,21 @@ class TestVerifyCommand:
             reports.append(report)
         assert reports[0]["total"] > 0
         assert reports[0] == reports[1]
+
+    def test_default_run_never_loads_multiprocessing(self):
+        # --jobs defaults to one process, and the worker pool is
+        # imported only for jobs > 1.
+        src = str(Path(stirval.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = (
+            "import sys; from stirval import cli;"
+            "code = cli.dispatch(['verify', '--suite', 'all', '--n-min', '2', '--n-max', '3']);"
+            "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.startswith("PASS suite=all")
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("jobs", ("0", "-4"))
     def test_bad_jobs_usage_error(self, capsys, jobs):

@@ -183,7 +183,6 @@ def _clear_row_caches():
         verifier_mod._verified_plain_coeffs,
         verifier_mod._verified_shifted_coeffs,
         verifier_mod._truncated_rows,
-        verifier_mod._top_shifted,
         verifier_mod._truncated_lifted,
         stirling_mod._cached_coeffs,
     ):
@@ -390,9 +389,10 @@ class TestTruncatedRows:
     @pytest.mark.parametrize("route", ["_chain_masked", "_expand_range"])
     def test_planted_route_fault_names_row(self, monkeypatch, fresh_caches, route):
         # The first output with a column 3 is the chain's row 4 and the
-        # tree's right child [4, 8), the shifted row (4, 4), which is
-        # checked against the Taylor shift of row 4 before use.
-        row = {"_chain_masked": "row 4", "_expand_range": r"shifted row \(4, 4\)"}[route]
+        # tree's right child [4, 8). The build does not check the child
+        # itself; the spine multiplies row 4 by it and disagrees with
+        # the chain on row 8.
+        row = {"_chain_masked": "row 4", "_expand_range": "row 8"}[route]
         original = getattr(verifier_mod, route)
 
         def plus_one(*args):
@@ -495,17 +495,16 @@ class TestSharedBuild:
         shifted = {j: shifted_row_expand(2**j, 2**j).coeffs for j in range(1, 10)}
         for top in range(1, 11):
             rows = verifier_mod._truncated_rows(top)
-            assert len(rows.plain) == top + 1 and len(rows.shifted) == top
+            assert len(rows.plain) == top + 1 and len(rows.right) == top
             for j in range(1, top + 1):
                 plain = rows.plain[j]
                 assert plain.bits == verifier_mod._precisions(j)
                 assert plain.coeffs == _reduced(exact[j], plain.bits)
                 assert verifier_mod._truncated_plain(j, top) is plain
             for j in range(1, top):
-                row = rows.shifted[j]
+                row = verifier_mod._truncated_shifted(j, top)
                 assert row.bits == _taylor_bits(rows.plain[j].bits, j)
                 assert row.coeffs == _reduced(shifted[j], row.bits)
-                assert verifier_mod._truncated_shifted(j, top) is row
 
     def test_joint_precisions_cover_every_row(self, monkeypatch, fresh_caches):
         # Smaller rows get more bits here than the top row: the build
@@ -517,7 +516,8 @@ class TestSharedBuild:
             assert rows.plain[j].bits == (60 - 5 * j,) * (2**j + 1)
             assert rows.plain[j].coeffs == _reduced(row_recurrence(2**j).coeffs, rows.plain[j].bits)
         for j in range(1, 6):
-            assert rows.shifted[j].coeffs == _reduced(shifted_row_expand(2**j, 2**j).coeffs, rows.shifted[j].bits)
+            row = verifier_mod._truncated_shifted(j, 6)
+            assert row.coeffs == _reduced(shifted_row_expand(2**j, 2**j).coeffs, row.bits)
 
     def test_paper_range_runs_one_chain_one_spine_one_shifted_chain(self, monkeypatch, fresh_caches):
         # The chain and the tree's right children cover the factors
@@ -541,6 +541,9 @@ class TestSharedBuild:
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_planted_right_child_fault_names_shifted_row(self, monkeypatch, fresh_caches, j):
+        # The build checks no right child R_j; the spine multiplies by
+        # it, so the fault shows at row 2**(j+1), before any check
+        # result. The read-time check of R_j itself is the next test.
         original = verifier_mod._expand_range
 
         def plus_one(lo, hi, masks):
@@ -550,12 +553,104 @@ class TestSharedBuild:
             return out
 
         monkeypatch.setattr(verifier_mod, "_expand_range", plus_one)
-        with pytest.raises(ConsistencyError, match=rf"truncated routes disagree on shifted row \({2**j}, {2**j}\)$"):
+        with pytest.raises(ConsistencyError, match=f"truncated routes disagree on row {2 ** (j + 1)}$"):
             check_theorem1(5)
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_bad_stored_child_fails_where_it_is_read(self, monkeypatch, j):
+        # A fault in R_j that leaves every row 2**j right reaches only
+        # the kept child; the Taylor shift of row 2**j catches it there.
+        rows = verifier_mod._truncated_rows(5)
+        bad = list(rows.right[j])
+        bad[3] += 1
+        right = rows.right[:j] + (tuple(bad),) + rows.right[j + 1 :]
+        monkeypatch.setattr(verifier_mod, "_truncated_rows", lambda top: verifier_mod._RowSet(rows.plain, right))
+        with pytest.raises(ConsistencyError, match=rf"truncated routes disagree on shifted row \({2**j}, {2**j}\)$"):
+            verifier_mod._truncated_shifted(j, 5)
+
+    def test_taylor_shifts_run_only_for_rows_lemma24_reads(self, monkeypatch, fresh_caches):
+        # The build takes no Taylor shift; lemma24 takes one per n it
+        # reads, and only it runs the shifted chain at top.
+        shifts, chains = [], []
+        taylor, chain = verifier_mod._taylor_shift_masked, verifier_mod._chain_masked
+
+        def counted_taylor(coeffs, bits, n):
+            shifts.append(n)
+            return taylor(coeffs, bits, n)
+
+        def counted_chain(lo, hi, *args):
+            chains.append((lo, hi))
+            return chain(lo, hi, *args)
+
+        monkeypatch.setattr(verifier_mod, "_taylor_shift_masked", counted_taylor)
+        monkeypatch.setattr(verifier_mod, "_chain_masked", counted_chain)
+        r = run_suite(2, 10, ["theorem1", "theorem2", "lemma25", "inequalities"], jobs=1)
+        assert r.total > 0 and r.failures_total == 0
+        assert shifts == [] and (1024, 2048) not in chains
+        _clear_row_caches()
+        r = run_suite(2, 10, "all", jobs=1)
+        assert (r.total, r.failures_total) == (20089, 0)
+        assert sorted(shifts) == list(range(2, 11))
 
     def test_top_below_n_rejected(self):
         with pytest.raises(DomainError, match="top"):
             check_theorem1(5, top=4)
+
+
+class TestReadTimeFaults:
+    # Faults on the paths that check a shifted row where lemma24 reads
+    # it, and on the lift: each must raise or be reported, never pass.
+
+    def test_wrong_binomial_in_the_taylor_shift(self, monkeypatch, fresh_caches):
+        # The j = 1 term, p[k+1] C(k+1, k) 2**n, added once more to every
+        # column: caught against the kept right child below top and
+        # against the shifted chain at top.
+        taylor = verifier_mod._taylor_shift_masked
+
+        def twice_j1(coeffs, bits, n):
+            out, shifted_bits = taylor(coeffs, bits, n)
+            for k in range(len(out) - 1):
+                out[k] = (out[k] + ((coeffs[k + 1] * (k + 1)) << n)) & ((1 << shifted_bits[k]) - 1)
+            return out, shifted_bits
+
+        monkeypatch.setattr(verifier_mod, "_taylor_shift_masked", twice_j1)
+        for n in range(2, 9):
+            with pytest.raises(ConsistencyError, match=rf"truncated routes disagree on shifted row \({2**n}, {2**n}\)$"):
+                check_lemma24(n, top=8)
+
+    @pytest.mark.parametrize("top", [2, 5, 8])
+    def test_off_by_one_top_shifted_chain(self, monkeypatch, fresh_caches, top):
+        # The build is made first, so the planted bounds reach only the
+        # chain over [2**top, 2**(top+1)) that lemma24 runs at top.
+        check_theorem1(top)
+        chain, calls = verifier_mod._chain_masked, []
+
+        def shifted_by_one(lo, hi, *args):
+            calls.append((lo, hi))
+            return chain(lo + 1, hi + 1, *args)
+
+        monkeypatch.setattr(verifier_mod, "_chain_masked", shifted_by_one)
+        with pytest.raises(ConsistencyError, match=rf"truncated routes disagree on shifted row \({2**top}, {2**top}\)$"):
+            check_lemma24(top)
+        assert calls == [(2**top, 2 ** (top + 1))]
+
+    def test_wrong_lift_factor_in_both_paths(self, monkeypatch, fresh_caches):
+        # x + N + 1 for x + N in both paths of _truncated_lifted: the
+        # paths agree, so only the checks that read row N + 1 can see it.
+        # theorem2 reports failures at every n. inequalities reads that
+        # row only through the harmonic upper bound, which the wrong row
+        # breaks at n = 6 and n = 8 alone; every other family and n passes.
+        times_linear, poly_mul = verifier_mod._times_linear, verifier_mod._poly_mul
+        monkeypatch.setattr(verifier_mod, "_times_linear", lambda coeffs, c: times_linear(coeffs, c + 1))
+        monkeypatch.setattr(verifier_mod, "_poly_mul", lambda a, b: poly_mul(a, [b[0] + 1, *b[1:]]))
+        for n in range(2, 9):
+            assert check_theorem2(n).failures_total > 0
+        caught = {}
+        for n in range(2, 9):
+            r = check_inequalities(n)
+            caught[n] = (r.failures_total, {f.check_id for f in r.failures})
+        assert caught == {n: (1, {"harmonic_bound"}) if n in (6, 8) else (0, set()) for n in range(2, 9)}
+        assert run_suite(2, 8, ["inequalities"], jobs=1).failures_total == 2
 
 
 class TestRunSuite:
