@@ -28,20 +28,20 @@ rows are handled as flat lists and multiplied via Kronecker
 substitution (pack the coefficients of a polynomial into one giant
 integer, multiply once, slice the product back apart).
 
-Three masked routes keep column k only modulo a power of two that does
-not grow with k: _chain_masked (recurrence steps carried on from a
-start row, with its own step: columns wider than _PACK_SLOT_BITS one
-int each, the rest packed into bands of slots that one shift, one
-multiply and one AND step at once), the product tree (_expand_range
-with masks, and _mul_masked for one of its nodes, which reuse the
-exact tree's steps and reduce between them) and _taylor_shift_masked
-(p(x) to p(x + 2**n), which states the precision it keeps). The chain
-and the tree share no arithmetic. The verifier builds
-every 2-adically truncated row 2**j of a run with one masked chain and
-one masked tree spine, keeps the spine's right children
-(x + 2**j)_{2**j}, checks each such shifted row against the Taylor
-shift of row 2**j only where it reads that row, and argues their
-soundness.
+Three masked routes keep column k only modulo a power of two:
+_chain_masked (recurrence steps carried on from a start row, with its
+own step: columns wider than _PACK_SLOT_BITS one int each, the rest
+packed into bands of slots that one shift, one multiply and one AND
+step at once; its precisions never grow with k), _double_masked (row
+2N from row N by (x)_{2N} = P(x) P(x + 1), P(x) = 2**N (x/2)_N, with
+P(x + 1) kept only to the p bits that _doubling_need shows enough)
+and _taylor_shift_masked (p(x) to p(x + 2**n)). Each states the
+precision it keeps. The chain and the doubling share no arithmetic.
+The verifier builds every 2-adically truncated row 2**j of a run by
+one masked chain and by doubling, plans the doubling's precisions
+from the chain's rows, checks each shifted row (x + 2**j)_{2**j}
+against the Taylor shift of row 2**j only where it reads that row,
+and argues their soundness.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import accumulate
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 
@@ -196,8 +197,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     independently: verifier._verified_plain_coeffs compares every
     product-tree row it uses against the recurrence, which never packs
     and multiplies each coefficient only by a row index, and the
-    verifier's truncated rows compare the masked tree with the masked
-    recurrence the same way.
+    verifier's truncated rows compare the doubling route, whose
+    products go through here, with the masked recurrence the same way.
     """
     if min(len(a), len(b)) <= _SCHOOLBOOK_LEN:
         out = [0] * (len(a) + len(b) - 1)
@@ -229,16 +230,13 @@ def _expand_chain(lo: int, hi: int, start: Sequence[int] = (1,)) -> list[int]:
     return coeffs
 
 
-def _expand_range(lo: int, hi: int, masks: Sequence[int] | None = None) -> list[int]:
-    # Balanced expansion of prod_{c in [lo, hi)} (x + c). With masks,
-    # every node, leaves and root included, is reduced by _masked.
+def _expand_range(lo: int, hi: int) -> list[int]:
+    # Balanced expansion of prod_{c in [lo, hi)} (x + c).
     count = hi - lo
     if count < _TREE_BASE:
-        out = _expand_chain(lo, hi)
-    else:
-        mid = lo + count // 2
-        out = _poly_mul(_expand_range(lo, mid, masks), _expand_range(mid, hi, masks))
-    return out if masks is None else _masked(out, masks)
+        return _expand_chain(lo, hi)
+    mid = lo + count // 2
+    return _poly_mul(_expand_range(lo, mid), _expand_range(mid, hi))
 
 
 # The masked chain's per-element head reduces its columns once per this
@@ -270,9 +268,8 @@ def _masked(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
     return [c & m for c, m in zip(coeffs, masks)]
 
 
-def _mul_masked(a: list[int], b: list[int], masks: Sequence[int]) -> list[int]:
-    # One node of the masked product tree: the product, reduced by masks.
-    return _masked(_poly_mul(a, b), masks)
+def _masks(bits: Sequence[int]) -> list[int]:
+    return [(1 << b) - 1 for b in bits]
 
 
 def _band_layout(bits: Sequence[int], factor_bits: int) -> tuple[int, list[tuple[int, int, int]]]:
@@ -353,7 +350,7 @@ def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] =
         column adds, so the next band's carry is that slot taken before
         the step. The first band's carry is the head's last column
         before the step, reduced by its mask.
-    The chain shares no arithmetic with the masked product tree.
+    The chain shares no arithmetic with the doubling route.
     """
     if hi <= lo:
         return list(start)
@@ -387,6 +384,105 @@ def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] =
         raw = p.to_bytes((stop - first) * nbytes, "little")
         head += [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
     return head
+
+
+def _at_x_plus_one(coeffs: Sequence[int], p: int) -> list[int]:
+    """q(x + 1) modulo 2**p, from q's columns modulo 2**p.
+
+    Column k is sum_{i >= k} q[i] C(i, k). Terms below q's lowest
+    nonzero column, low, are zero. Horner's rule over the rest gives
+    h(x) = sum_{i >= low} q[i] (x + 1)**(i - low), and q(x + 1) is
+    h(x) (x + 1)**low: one _poly_mul by the binomials C(low, k), each
+    built from the one before and reduced mod 2**p.
+    """
+    mask = (1 << p) - 1
+    low = next((i for i, c in enumerate(coeffs) if c), len(coeffs) - 1)
+    h = [coeffs[-1]]
+    for c in reversed(coeffs[low:-1]):
+        h = _times_linear(h, 1)
+        h[0] += c
+    binoms, binom = [], 1
+    for k in range(low + 1):
+        binoms.append(binom & mask)
+        binom = binom * (low - k) // (k + 1)
+    return [c & mask for c in _poly_mul(h, binoms)]
+
+
+def _doubling_need(coeffs: Sequence[int], bits: Sequence[int], targets: Sequence[int]) -> tuple[list[int], int]:
+    """The windows win and the bits p of P(x + 1) that _double_masked needs.
+
+    Row N is known as coeffs[i] modulo 2**bits[i], and row 2N is wanted
+    modulo 2**targets[k]. P_i enters columns i .. i + N of the product,
+    so win_i = max targets[i .. i + N]; every such window holds column
+    N, so it is the larger of a running max down to N and one up from
+    it. w_i = min(v2(coeffs[i]), bits[i]) is a proven lower bound on
+    v2(s(N, i)), and p = max(0, max_i(win_i - (N - i) - w_i)).
+    """
+    n = len(coeffs) - 1
+    down = list(accumulate(reversed(targets[: n + 1]), max))[::-1]
+    up = accumulate(targets[n:], max)
+    win = [max(a, b) for a, b in zip(down, up)]
+    need = 0
+    for i, (c, b, x) in enumerate(zip(coeffs, bits, win)):
+        c &= (1 << b) - 1
+        need = max(need, x - (n - i) - ((c & -c).bit_length() - 1 if c else b))
+    return win, need
+
+
+def _doubling_plan(
+    chain: Sequence[Sequence[int]], joint: Sequence[int], bits: Sequence[Sequence[int]]
+) -> list[tuple[list[int], int]]:
+    """(tau_j, p_j) for each row 2**j, j <= top, of doubling from (x)_1 = x.
+
+    chain[j] is row 2**j from another route, known modulo 2**joint, and
+    bits[j] is the least precision row 2**j must have (bits[0] = (0, 0):
+    row 1 = x is exact). Top-down: tau_top = bits[top]. Doubling row
+    N = 2**j to reach tau_{j+1} takes p_j, _doubling_need's p with w
+    read from chain[j], and row N known to tau_j[i] = max(bits[j][i],
+    win_i - (N - i), p_j - (N - i)), which is what _double_masked needs
+    for that p. p_top is unused.
+    """
+    top = len(chain) - 1
+    targets = list(bits[top])
+    plan = [(targets, 0)]
+    for j in range(top - 1, -1, -1):
+        size = 2**j
+        win, p = _doubling_need(chain[j], joint[: size + 1], targets)
+        targets = [max(b, x - (size - i), p - (size - i)) for i, (b, x) in enumerate(zip(bits[j], win))]
+        plan.append((targets, p))
+    return plan[::-1]
+
+
+def _double_masked(coeffs: Sequence[int], bits: Sequence[int], targets: Sequence[int], p: int) -> list[int]:
+    """Row 2N from row N by (x)_{2N} = P(x) P(x + 1), column k modulo 2**targets[k].
+
+    The even factors x, x + 2, .., x + 2N - 2 of (x)_{2N} multiply to
+    P(x) = 2**N (x/2)_N, so P_i = s(N, i) << (N - i), and the odd ones
+    to P(x + 1). Every power of two sits in P: P_i = 0 mod 2**p for
+    i <= N - p, so P(x + 1) mod 2**p (_at_x_plus_one) reads only the
+    top p columns. Row N is known as coeffs[i] modulo 2**bits[i]; with
+    win and p from _doubling_need, keep P_i mod 2**win_i (P-hat) and
+    P(x + 1) mod 2**p (Q-hat). Column k of P-hat Q-hat is then s(2N, k)
+    mod 2**targets[k], because every term P_i Q_l with i + l = k has
+    targets[k] <= win_i and
+      - P_i is known mod 2**(bits[i] + N - i), at least win_i and p;
+      - its error, times Q_l, is a multiple of 2**win_i;
+      - Q_l's error is a multiple of 2**p and v2(P_i) >= w_i + N - i,
+        so with p >= win_i - (N - i) - w_i, P_i times that error is a
+        multiple of 2**win_i too.
+    A p short of what these residues need raises ConsistencyError, and
+    bits too few for win or p raise DomainError. The product is one
+    _poly_mul, whose slots hold about max win + p bits.
+    """
+    n = len(coeffs) - 1
+    win, need = _doubling_need(coeffs, bits, targets)
+    if need > p:
+        raise ConsistencyError(f"doubling to row {2 * n} needs {need} bits of P(x + 1), planned {p}")
+    if any(b + n - i < max(x, p) for i, (b, x) in enumerate(zip(bits, win))):
+        raise DomainError(f"row {n} is known to too few bits to double to row {2 * n}")
+    big = [c << (n - i) for i, c in enumerate(coeffs)]
+    q = _at_x_plus_one([c & ((1 << p) - 1) for c in big], p)
+    return _masked(_poly_mul(_masked(big, _masks(win)), q), _masks(targets))
 
 
 def _taylor_shift_masked(

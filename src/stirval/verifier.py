@@ -34,10 +34,10 @@ truth is truncated: column k of row N = 2**n is kept only modulo
       and B_0 = B_1, computed once per n (_precisions). B never grows
       with k. The margin of 3 lets a zero residue prove lemma24's lift
       bound v2 >= v2(s(N, t)) + 2. A run whose largest n is top builds
-      every row 2**j, j <= top, at once (_truncated_rows), at the
-      joint precisions M*_k = max B^(j)_k over the j <= top with
-      2**j >= k. M* never grows with k either, and each row 2**j is
-      then reduced to its own B^(j) <= M*.
+      every row 2**j, j <= top, at once (_truncated_rows). Its masked
+      recurrence runs at the joint precisions M*_k = max B^(j)_k over
+      the j <= top with 2**j >= k. M* never grows with k either, and
+      each row 2**j is then reduced to its own B^(j) <= M*.
   Masking is exact. Reduction mod 2**b is a ring homomorphism, and
       column k of a product reads only columns <= k of its factors,
       each kept modulo 2**B_j with B_j >= B_k. So reducing column k
@@ -46,37 +46,61 @@ truth is truncated: column k of row N = 2**n is kept only modulo
       2**M*_k further to 2**B_k gives the residue mod 2**B_k.
   Two routes. Rows 2**j come from one masked recurrence over
       [0, 2**top) (stirling_core._chain_masked, carried on from row
-      2**j to row 2**(j+1)) and one masked product tree: its left
-      spine, row 2**(j+1) = row 2**j times the right child
-      R_j = (x + 2**j)_{2**j} (_expand_range with masks). The two
-      share no step: the chain steps its wide columns one int each
-      and its narrow ones as packed bands, while the tree's leaves
-      use _times_linear and its nodes _poly_mul. They must agree on
-      every row 2**j, and that is all the build checks. It keeps each
-      R_j, reduced to row 2**j's B, unchecked. That is sound: every
-      row 2**j the checks read is compared with the chain's, whatever
-      R_j was. A fault in R_j that changes some row 2**i, i > j, as
-      the checks read it fails that comparison, before any check
-      result; one that changes none reaches only the kept R_j. Each
-      shifted row (x + N)_N, N = 2**n, is checked where lemma24 reads
-      it (_truncated_shifted): it is compared with the truncated
-      Taylor shift of the checked row N by N (_taylor_shift_masked):
-      s_N(N, k) = sum_{i >= k} s(N, i) C(i, k) N**(i-k). Term i of
-      column k is known modulo 2**(B_i + n(i-k)), so the shift knows
-      column k modulo 2**B'_k, with B'_k = min(B_k, B'_{k+1} + n), and
-      sums only the terms with n(i-k) < B'_k. The other route is the
-      kept right child R_n for n < top, and for n = top a masked
-      recurrence over x + N .. x + 2N - 1, kept modulo row N's B. Both
-      are known modulo 2**B, and B' <= B, so the two must agree modulo
-      2**B'. By the drop bound B falls by less than n per column, so
-      B' = B whenever the predictions hold; by Lemma 2.4 the shifted
-      row's valuations are row N's. Each row must also meet invariants
-      that neither route computes: s(N, 0) = 0, s(N, 1) = (N-1)! and
-      s(N, N) = 1 mod 2**B_k; s_N(N, 0) = (2N-1)!/(N-1)! and
-      s_N(N, N) = 1 mod 2**B'_k.
+      2**j to row 2**(j+1)) and from doubling
+      (stirling_core._double_masked): (x)_{2N} = P(x) P(x + 1) with
+      P(x) = 2**N (x/2)_N, the even factors, so P_i = s(N, i) << (N - i)
+      and P(x + 1) is the odd factors. The doubling route starts from
+      (x)_1 = x and keeps row 2**j modulo 2**tau_j; the chain keeps
+      every row modulo 2**M*. The two share no step: the chain steps
+      its wide columns one int each and its narrow ones as packed
+      bands, while a doubling takes P(x + 1) mod 2**p by Horner's rule
+      and one binomial row, and P-hat Q-hat by one _poly_mul. They must
+      agree on every row 2**j at B^(j), and the row must meet
+      invariants that neither route computes: s(N, 0) = 0,
+      s(N, 1) = (N-1)! and s(N, N) = 1 mod 2**B_k.
+  The doubling rule. With row N known as r_i mod 2**pi_i and
+      w_i = min(v2(r_i), pi_i), a proven lower bound on v2(s(N, i)),
+      let win_i = max tau'[i .. i+N] for the next row's targets tau'.
+      Column k of P-hat Q-hat, with P_i kept mod 2**win_i and P(x + 1)
+      mod 2**p, is s(2N, k) mod 2**tau'_k whenever, for every i,
+      pi_i + N - i >= max(win_i, p) and p >= win_i - (N - i) - w_i.
+  The plan (stirling_core._doubling_plan). Once the chain has reached
+      row 2**top, the precisions are set top-down: tau_top = B^(top);
+      p_j is the largest win_i - (N - i) - w_i (or 0), with w read from
+      the chain's row 2**j; tau_j[i] = max(B^(j)_i, win_i - (N - i),
+      p_j - (N - i)), so both conditions hold and row 2**j can be
+      compared at B^(j). While the predictions hold, p_j = 2 top at
+      every step.
+  Why reading the chain's valuations cannot pass a wrong row. Each
+      doubling recomputes p from its own residues and raises
+      ConsistencyError when the planned p is short; it never reads the
+      chain's values. On correct rows it never raises: where
+      v = v2(s(N, i)) <= pi_i its own w_i is v, at least the chain's
+      min(v, M*_i), and otherwise its term win_i - (N - i) - pi_i is at
+      most 0 by the plan's choice of pi. So a fault in the chain
+      that raises its valuations can only shorten p, which raises. Any
+      other fault in one route either changes some row 2**j at its
+      B^(j), where the routes disagree before any check result, or
+      changes no residue that a check reads.
+  Shifted rows. Each shifted row (x + N)_N, N = 2**n, is checked where
+      lemma24 reads it (_truncated_shifted): the masked recurrence over
+      x + N .. x + 2N - 1, kept modulo row N's B, is compared with the
+      truncated Taylor shift of the checked row N by N
+      (_taylor_shift_masked): s_N(N, k) = sum_{i >= k} s(N, i) C(i, k)
+      N**(i-k). Term i of column k is known modulo 2**(B_i + n(i-k)),
+      so the shift knows column k modulo 2**B'_k, with
+      B'_k = min(B_k, B'_{k+1} + n), and sums only the terms with
+      n(i-k) < B'_k. The two must agree modulo 2**B', B' <= B. By the
+      drop bound B falls by less than n per column, so B' = B whenever
+      the predictions hold; by Lemma 2.4 the shifted row's valuations
+      are row N's. The row must also meet s_N(N, 0) = (2N-1)!/(N-1)!
+      and s_N(N, N) = 1 mod 2**B'_k.
   Lifted row. Row N + 1 is row N times (x + N), computed by two paths
       (_truncated_lifted). Column k + 1 is N * r[k+1] + r[k], known
-      modulo 2**min(B_k, B_{k+1} + n).
+      modulo 2**min(B_k, B_{k+1} + n). It must meet s(N+1, 0) = 0,
+      s(N+1, 1) = N! and s(N+1, N+1) = 1 there; a wrong factor both
+      paths share, x + N + 1, moves column 1 by (N-1)!, whose v2 of
+      N - 1 - n is below that column's B.
   Reading a residue (_v2_mod). A nonzero residue mod 2**b gives the
       exact valuation. A zero residue proves only v2 >= b: it fails
       every equality and every upper bound, and passes a lower bound
@@ -112,10 +136,11 @@ from .stirling_core import (
     _capped_cache,
     _chain_masked,
     _check_row_args,
+    _double_masked,
+    _doubling_plan,
     _expand_chain,
-    _expand_range,
     _masked,
-    _mul_masked,
+    _masks,
     _poly_mul,
     _taylor_shift_masked,
     _times_linear,
@@ -288,10 +313,6 @@ def _precisions(n: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def _masks(bits: Sequence[int]) -> list[int]:
-    return [(1 << b) - 1 for b in bits]
-
-
 def _require(name: str, coeffs: list[int], masks: list[int], known: dict[int, int]) -> None:
     # Invariants that neither masked route computes, checked mod 2**B_k.
     for k, value in known.items():
@@ -311,47 +332,32 @@ def _agreed(
     return _Truncated(tuple(row), tuple(bits[: len(row)]))
 
 
-@dataclass(frozen=True)
-class _RowSet:
-    """One build for top, at index j (index 0 is None).
-
-    plain[j] is the checked row 2**j, j <= top. right[j] is the tree's
-    right child R_j = (x + 2**j)_{2**j}, j < top, reduced to row 2**j's
-    B: unchecked, until _truncated_shifted reads it.
-    """
-
-    plain: tuple[_Truncated | None, ...]
-    right: tuple[tuple[int, ...] | None, ...]
-
-
 @_capped_cache(32, lambda top: _check_row_args(2 ** top))
-def _truncated_rows(top: int) -> _RowSet:
-    """Every truncated row 2**j of a run whose largest n is top, from one build.
+def _truncated_rows(top: int) -> tuple[_Truncated | None, ...]:
+    """Every truncated row 2**j, j <= top, of a run whose largest n is top (index 0 is None).
 
-    One masked recurrence over [0, 2**top) passes through every row
-    2**j. The masked tree's left spine multiplies row 2**j by its right
-    child R_j = (x + 2**j)_{2**j}, and from row 16 up its products are
-    the nodes of _expand_range(0, 2**top). Both run at the joint
-    precisions M*; row 2**j from each is reduced to its own B^(j), and
-    the two must agree. The build checks nothing else: once the spine
-    has used R_j it is kept reduced to B^(j), for _truncated_shifted.
-    See the module docstring (Precision, Two routes) for why this is
-    sound.
+    One masked recurrence over [0, 2**top), at the joint precisions M*,
+    passes through every row 2**j. The doubling route starts from
+    (x)_1 = x and doubles row 2**j to row 2**(j+1) (_double_masked) at
+    the precisions _doubling_plan reads off the chain's rows. Row 2**j
+    from each route is reduced to its own B^(j), and the two must agree
+    and meet the invariants. See the module docstring (Precision, Two
+    routes) for why this is sound.
     """
-    bits = [_precisions(j) for j in range(1, top + 1)]
-    masks = _masks([max(col) for col in zip_longest(*bits, fillvalue=0)])
-    chain = _chain_masked(0, 1, masks)
-    tree = _expand_range(0, 1, masks)
-    plain: list[_Truncated | None] = [None]
-    right: list[tuple[int, ...] | None] = []
+    bits = [(0, 0), *(_precisions(j) for j in range(1, top + 1))]
+    joint = [max(col) for col in zip_longest(*bits, fillvalue=0)]
+    masks = _masks(joint)
+    chain = [_chain_masked(0, 1, masks)]
     for j in range(top):
-        lo, hi = 2 ** j, 2 ** (j + 1)
-        child = _expand_range(lo, hi, masks)
-        chain = _chain_masked(lo, hi, masks, chain)
-        tree = _mul_masked(tree, child, masks)
-        right.append(tuple(_masked(child, _masks(plain[j].bits))) if j else None)
-        plain.append(_agreed(f"row {hi}", chain, tree, bits[j], {0: 0, 1: math.factorial(hi - 1), hi: 1}))
-    return _RowSet(tuple(plain), tuple(right))
+        chain.append(_chain_masked(2**j, 2 ** (j + 1), masks, chain[j]))
+    plan = _doubling_plan(chain, joint, bits)
+    row: list[int] = [0, 1]
+    plain: list[_Truncated | None] = [None]
+    for j, ((tau, p), (targets, _)) in enumerate(zip(plan, plan[1:]), 1):
+        size = 2**j
+        row = _double_masked(row, tau, targets, p)
+        plain.append(_agreed(f"row {size}", chain[j], row, bits[j], {0: 0, 1: math.factorial(size - 1), size: 1}))
+    return tuple(plain)
 
 
 def _run_top(n: int, top: int | None) -> int:
@@ -365,7 +371,7 @@ def _run_top(n: int, top: int | None) -> int:
 
 def _truncated_plain(n: int, top: int | None = None) -> _Truncated:
     """Row 2**n modulo 2**B_k, read from the build for top (n by default)."""
-    return _truncated_rows(_run_top(n, top)).plain[n]
+    return _truncated_rows(_run_top(n, top))[n]
 
 
 def _truncated_shifted(n: int, top: int | None = None) -> _Truncated:
@@ -375,18 +381,14 @@ def _truncated_shifted(n: int, top: int | None = None) -> _Truncated:
     2**n (_taylor_shift_masked): (x + N)_N is (x)_N at x + N. The shift
     knows column k only modulo 2**B'_k, B'_k = min(B_k, B'_{k+1} + n),
     so both routes are compared, and the invariants checked, modulo
-    2**B'. The other route is the right child R_n that the build for
-    top kept modulo row 2**n's B, for n < top. The build has no R_top,
-    so for n = top it is the masked recurrence over the factors
-    x + 2**n .. x + 2**(n+1) - 1, kept modulo that B. Under the
+    2**B'. The other route is the masked recurrence over the factors
+    x + 2**n .. x + 2**(n+1) - 1, kept modulo row 2**n's B. Under the
     predictions B drops by less than n per column, so B' = B.
     """
-    top = _run_top(n, top)
     size = 2 ** n
-    rows = _truncated_rows(top)
-    plain = rows.plain[n]
+    plain = _truncated_plain(n, top)
     taylor, bits = _taylor_shift_masked(plain.coeffs, plain.bits, n)
-    route = rows.right[n] if n < top else _chain_masked(size, 2 * size, _masks(plain.bits))
+    route = _chain_masked(size, 2 * size, _masks(plain.bits))
     known = {0: math.perm(2 * size - 1, size), size: 1}
     return _agreed(f"shifted row ({size}, {size})", route, taylor, bits, known)
 
@@ -411,7 +413,10 @@ def _truncated_lifted(n: int, top: int | None = None) -> _Truncated:
         raise ConsistencyError(f"lift paths disagree on row {size + 1}")
     b = base.bits
     bits = (b[0] + n, *(min(lo, hi + n) for lo, hi in zip(b, b[1:])), b[-1])
-    return _Truncated(tuple(_masked(step, _masks(bits))), bits)
+    masks = _masks(bits)
+    lifted = _masked(step, masks)
+    _require(f"row {size + 1}", lifted, masks, {0: 0, 1: math.factorial(size), size + 1: 1})
+    return _Truncated(tuple(lifted), bits)
 
 
 def check_theorem1(n: int, *, top: int | None = None) -> CheckReport:

@@ -300,14 +300,19 @@ class TestVerifyCommand:
         assert len(report["failures"]) == FAILURE_CAP
 
     def test_shared_step_fault_is_an_internal_consistency_failure(self, capsys, monkeypatch):
-        # (x + c + 1) in both row routes, the tree's leaves through
-        # _times_linear and the masked chain through its factors: the
+        # (x + c + 1) in both row routes, the masked chain through its
+        # factors and the doubling route returning (x + 1)_{2N}: the
         # routes agree, and Theorem 2 maps the wrong row's valuations
         # onto the right ones, so only the row invariants can catch it
-        original = stirling_mod._times_linear
-        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
         chain = verifier_mod._chain_masked
         monkeypatch.setattr(verifier_mod, "_chain_masked", lambda lo, hi, *args: chain(lo + 1, hi + 1, *args))
+        monkeypatch.setattr(
+            verifier_mod,
+            "_double_masked",
+            lambda coeffs, bits, targets, p: stirling_mod._masked(
+                stirling_mod._expand_chain(1, len(targets)), stirling_mod._masks(targets)
+            ),
+        )
         truncated = (verifier_mod._truncated_rows, verifier_mod._truncated_lifted)
         for cache in truncated:
             cache.cache_clear()

@@ -199,13 +199,18 @@ def fresh_caches():
 
 
 def _plant_next_factor_in_both_routes(monkeypatch):
-    # (x + c + 1) for (x + c) in both truncated routes: the tree's leaves
-    # step through _times_linear, and the masked chain, which has its
-    # own step, runs over factors shifted by one.
-    original = stirling_mod._times_linear
-    monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+    # (x + c + 1) for (x + c) in both truncated routes: the masked chain
+    # runs over factors shifted by one, and each doubling returns
+    # (x + 1)_{2N}, expanded exactly and reduced to its targets.
     chain = verifier_mod._chain_masked
     monkeypatch.setattr(verifier_mod, "_chain_masked", lambda lo, hi, *args: chain(lo + 1, hi + 1, *args))
+    monkeypatch.setattr(
+        verifier_mod,
+        "_double_masked",
+        lambda coeffs, bits, targets, p: stirling_mod._masked(
+            stirling_mod._expand_chain(1, len(targets)), stirling_mod._masks(targets)
+        ),
+    )
 
 
 def _reduced(coeffs, bits):
@@ -245,21 +250,26 @@ class TestLiftedRow:
                     return build(m)
 
                 monkeypatch.setattr(module, attr, counted)
-        for attr in ("_chain_masked", "_expand_range"):
-            route = getattr(verifier_mod, attr)
+        chain, double = verifier_mod._chain_masked, verifier_mod._double_masked
 
-            def counted_route(lo, hi, *args, route=route, attr=attr):
-                calls.append((attr, hi - lo))
-                return route(lo, hi, *args)
+        def counted_chain(lo, hi, *args):
+            calls.append(("_chain_masked", hi - lo))
+            return chain(lo, hi, *args)
 
-            monkeypatch.setattr(verifier_mod, attr, counted_route)
+        def counted_double(coeffs, *args):
+            calls.append(("_double_masked", 2 * (len(coeffs) - 1)))
+            return double(coeffs, *args)
+
+        monkeypatch.setattr(verifier_mod, "_chain_masked", counted_chain)
+        monkeypatch.setattr(verifier_mod, "_double_masked", counted_double)
         r = run_suite(n, n, ["theorem2", "inequalities"], jobs=1)
         assert r.total > 0 and r.failures_total == 0
         assert not [c for c in calls if c[1] == 2**n + 1]
-        # row 2**n is built once by each masked route, from the factors
-        # [0, 1), [1, 2), [2, 4), ..., [16, 32), and never exactly
-        blocks = [1] + [2**j for j in range(n)]
-        assert sorted(calls) == sorted((attr, size) for attr in ("_chain_masked", "_expand_range") for size in blocks)
+        # row 2**n is built once by each masked route, and never exactly:
+        # the chain from the factors [0, 1), [1, 2), [2, 4), ..., [16, 32),
+        # the doubling route through rows 2, 4, ..., 32
+        blocks = [("_chain_masked", 1)] + [("_chain_masked", 2**j) for j in range(n)]
+        assert sorted(calls) == sorted(blocks + [("_double_masked", 2**j) for j in range(1, n + 1)])
 
     def test_disagreeing_lift_paths_raise(self, monkeypatch, fresh_caches):
         n = 5
@@ -386,13 +396,9 @@ class TestTruncatedRows:
             lifts = [f for f in check_lemma24(n).failures if f.instance[2] == "lift"]
             assert len(lifts) == top
 
-    @pytest.mark.parametrize("route", ["_chain_masked", "_expand_range"])
+    @pytest.mark.parametrize("route", ["_chain_masked", "_double_masked"])
     def test_planted_route_fault_names_row(self, monkeypatch, fresh_caches, route):
-        # The first output with a column 3 is the chain's row 4 and the
-        # tree's right child [4, 8). The build does not check the child
-        # itself; the spine multiplies row 4 by it and disagrees with
-        # the chain on row 8.
-        row = {"_chain_masked": "row 4", "_expand_range": "row 8"}[route]
+        # The first output of either route with a column 3 is its row 4.
         original = getattr(verifier_mod, route)
 
         def plus_one(*args):
@@ -402,7 +408,7 @@ class TestTruncatedRows:
             return out
 
         monkeypatch.setattr(verifier_mod, route, plus_one)
-        with pytest.raises(ConsistencyError, match=f"truncated routes disagree on {row}$"):
+        with pytest.raises(ConsistencyError, match="truncated routes disagree on row 4$"):
             check_theorem1(5)
 
     @pytest.mark.parametrize("route", ["_chain_masked", "_taylor_shift_masked"])
@@ -428,7 +434,7 @@ class TestTruncatedRows:
         expected = shifted_row_expand(2**n, 2**n).coeffs
         verifier_mod._truncated_plain(n)
         calls = []
-        for module, attr in ((verifier_mod, "_expand_range"), (stirling_mod, "_expand_range"), (stirling_mod, "_poly_mul")):
+        for module, attr in ((stirling_mod, "_expand_range"), (stirling_mod, "_poly_mul")):
             route = getattr(module, attr)
 
             def counted(*args, route=route, attr=attr):
@@ -450,12 +456,13 @@ class TestTruncatedRows:
             with pytest.raises(ConsistencyError, match="row 2 fails its invariant at column 0$"):
                 check_theorem1(n)
 
-    def test_step_fault_in_tree_leaves_only_splits_the_routes(self, monkeypatch, fresh_caches):
+    def test_step_fault_in_times_linear_only_splits_the_routes(self, monkeypatch, fresh_caches):
         # The masked chain steps its own head and bands, so (x + c + 1)
-        # in _times_linear reaches only the tree's leaves.
+        # in _times_linear reaches only the Horner steps of P(x + 1) in
+        # the doubling route; the first doubling that takes one is row 4's.
         original = stirling_mod._times_linear
         monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
-        with pytest.raises(ConsistencyError, match="truncated routes disagree on row 2$"):
+        with pytest.raises(ConsistencyError, match="truncated routes disagree on row 4$"):
             check_theorem1(5)
 
     @pytest.mark.parametrize("head_bits", [None, 64])
@@ -495,15 +502,15 @@ class TestSharedBuild:
         shifted = {j: shifted_row_expand(2**j, 2**j).coeffs for j in range(1, 10)}
         for top in range(1, 11):
             rows = verifier_mod._truncated_rows(top)
-            assert len(rows.plain) == top + 1 and len(rows.right) == top
+            assert len(rows) == top + 1 and rows[0] is None
             for j in range(1, top + 1):
-                plain = rows.plain[j]
+                plain = rows[j]
                 assert plain.bits == verifier_mod._precisions(j)
                 assert plain.coeffs == _reduced(exact[j], plain.bits)
                 assert verifier_mod._truncated_plain(j, top) is plain
             for j in range(1, top):
                 row = verifier_mod._truncated_shifted(j, top)
-                assert row.bits == _taylor_bits(rows.plain[j].bits, j)
+                assert row.bits == _taylor_bits(rows[j].bits, j)
                 assert row.coeffs == _reduced(shifted[j], row.bits)
 
     def test_joint_precisions_cover_every_row(self, monkeypatch, fresh_caches):
@@ -513,60 +520,112 @@ class TestSharedBuild:
         monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (60 - 5 * n,) * (2**n + 1))
         rows = verifier_mod._truncated_rows(6)
         for j in range(1, 7):
-            assert rows.plain[j].bits == (60 - 5 * j,) * (2**j + 1)
-            assert rows.plain[j].coeffs == _reduced(row_recurrence(2**j).coeffs, rows.plain[j].bits)
+            assert rows[j].bits == (60 - 5 * j,) * (2**j + 1)
+            assert rows[j].coeffs == _reduced(row_recurrence(2**j).coeffs, rows[j].bits)
         for j in range(1, 6):
             row = verifier_mod._truncated_shifted(j, 6)
             assert row.coeffs == _reduced(shifted_row_expand(2**j, 2**j).coeffs, row.bits)
 
-    def test_paper_range_runs_one_chain_one_spine_one_shifted_chain(self, monkeypatch, fresh_caches):
-        # The chain and the tree's right children cover the factors
-        # [0, 1024) once each, block by block; the spine multiplies ten
-        # times; only the shifted row at n = 10 has its own chain.
-        calls = {"_chain_masked": [], "_expand_range": [], "_mul_masked": []}
-        for attr, seen in calls.items():
-            route = getattr(verifier_mod, attr)
+    def test_paper_range_runs_one_chain_and_one_doubling_per_row(self, monkeypatch, fresh_caches):
+        # The chain covers the factors [0, 1024) once, block by block; the
+        # doubling route takes rows 1, 2, .., 512 each one step up; lemma24
+        # runs one shifted chain per n. No masked tree is built: the only
+        # product trees are the exact rows of identities, all below 21.
+        chains, doublings, trees = [], [], []
+        chain, double, expand = verifier_mod._chain_masked, verifier_mod._double_masked, stirling_mod._expand_range
 
-            def counted(*args, route=route, seen=seen):
-                seen.append(tuple(args[:2]))
-                return route(*args)
+        def counted_chain(lo, hi, *args):
+            chains.append((lo, hi))
+            return chain(lo, hi, *args)
 
-            monkeypatch.setattr(verifier_mod, attr, counted)
+        def counted_double(coeffs, bits, targets, p):
+            doublings.append((len(coeffs) - 1, p))
+            return double(coeffs, bits, targets, p)
+
+        def counted_expand(lo, hi):
+            trees.append(hi)
+            return expand(lo, hi)
+
+        monkeypatch.setattr(verifier_mod, "_chain_masked", counted_chain)
+        monkeypatch.setattr(verifier_mod, "_double_masked", counted_double)
+        monkeypatch.setattr(stirling_mod, "_expand_range", counted_expand)
         r = run_suite(2, 10, "all", jobs=1)
         assert (r.total, r.failures_total) == (20089, 0)
         blocks = [(0, 1)] + [(2**j, 2 ** (j + 1)) for j in range(10)]
-        assert calls["_chain_masked"] == blocks + [(1024, 2048)]
-        assert calls["_expand_range"] == blocks
-        assert len(calls["_mul_masked"]) == 10
+        assert chains == blocks + [(2**n, 2 ** (n + 1)) for n in range(2, 11)]
+        assert [size for size, _ in doublings] == [2**j for j in range(10)]
+        # p = 2 top = 20 at every step; a slack plan would show here
+        assert max(p for _, p in doublings) <= 20
+        assert trees and max(trees) <= 20
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_planted_right_child_fault_names_shifted_row(self, monkeypatch, fresh_caches, j):
-        # The build checks no right child R_j; the spine multiplies by
-        # it, so the fault shows at row 2**(j+1), before any check
-        # result. The read-time check of R_j itself is the next test.
-        original = verifier_mod._expand_range
+        # The doubling's right factor is P(x + 1), the odd factors of
+        # (x)_{2N}. +1 in its column 3 at N = 2**j leaves every row up to
+        # N right and fails row 2N against the chain: j = 2 names row 8.
+        original = stirling_mod._at_x_plus_one
 
-        def plus_one(lo, hi, masks):
-            out = original(lo, hi, masks)
-            if lo == 2**j:
+        def plus_one(coeffs, p):
+            out = original(coeffs, p)
+            if len(out) == 2**j + 1:
                 out[3] += 1
             return out
 
-        monkeypatch.setattr(verifier_mod, "_expand_range", plus_one)
+        monkeypatch.setattr(stirling_mod, "_at_x_plus_one", plus_one)
         with pytest.raises(ConsistencyError, match=f"truncated routes disagree on row {2 ** (j + 1)}$"):
             check_theorem1(5)
 
     @pytest.mark.parametrize("j", [2, 3, 4])
-    def test_bad_stored_child_fails_where_it_is_read(self, monkeypatch, j):
-        # A fault in R_j that leaves every row 2**j right reaches only
-        # the kept child; the Taylor shift of row 2**j catches it there.
-        rows = verifier_mod._truncated_rows(5)
-        bad = list(rows.right[j])
-        bad[3] += 1
-        right = rows.right[:j] + (tuple(bad),) + rows.right[j + 1 :]
-        monkeypatch.setattr(verifier_mod, "_truncated_rows", lambda top: verifier_mod._RowSet(rows.plain, right))
+    def test_bad_stored_child_fails_where_it_is_read(self, monkeypatch, fresh_caches, j):
+        # The right child (x + 2**j)_{2**j} of row 2**(j+1) is built where
+        # it is read: lemma24 runs the masked chain over [2**j, 2**(j+1)),
+        # below top as at top, and a bad child fails there against the
+        # Taylor shift of row 2**j.
+        verifier_mod._truncated_rows(5)
+        chain = verifier_mod._chain_masked
+
+        def plus_one(lo, hi, *args):
+            out = chain(lo, hi, *args)
+            out[3] += 1
+            return out
+
+        monkeypatch.setattr(verifier_mod, "_chain_masked", plus_one)
         with pytest.raises(ConsistencyError, match=rf"truncated routes disagree on shifted row \({2**j}, {2**j}\)$"):
             verifier_mod._truncated_shifted(j, 5)
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_planned_p_one_bit_short_raises(self, monkeypatch, fresh_caches, j):
+        # The plan's p is exactly what the doubling route's own residues
+        # need at every step (2 top = 10 here), so one bit less raises.
+        plan = verifier_mod._doubling_plan
+
+        def short(*args):
+            steps = plan(*args)
+            targets, p = steps[j]
+            steps[j] = (targets, p - 1)
+            return steps
+
+        monkeypatch.setattr(verifier_mod, "_doubling_plan", short)
+        with pytest.raises(ConsistencyError, match=rf"doubling to row {2 ** (j + 1)} needs 10 bits .*, planned 9$"):
+            check_theorem1(5)
+
+    @pytest.mark.parametrize("fault", ["doubled", "zeroed"])
+    @pytest.mark.parametrize("j", [0, 3, 7])
+    def test_plan_fed_raised_valuations_never_passes(self, monkeypatch, fresh_caches, fault, j):
+        # The plan reads w off the chain's row 2**j. Raising those
+        # valuations (every residue doubled, or zeroed to w = M*) for the
+        # plan alone shortens p_j; the doubling route recomputes p from
+        # its own residues and refuses the step.
+        plan = verifier_mod._doubling_plan
+
+        def raised(chain, joint, bits):
+            chain = list(chain)
+            chain[j] = [2 * c if fault == "doubled" else 0 for c in chain[j]]
+            return plan(chain, joint, bits)
+
+        monkeypatch.setattr(verifier_mod, "_doubling_plan", raised)
+        with pytest.raises(ConsistencyError, match=rf"doubling to row {2 ** (j + 1)} needs"):
+            check_theorem1(8)
 
     def test_taylor_shifts_run_only_for_rows_lemma24_reads(self, monkeypatch, fresh_caches):
         # The build takes no Taylor shift; lemma24 takes one per n it
@@ -636,21 +695,17 @@ class TestReadTimeFaults:
 
     def test_wrong_lift_factor_in_both_paths(self, monkeypatch, fresh_caches):
         # x + N + 1 for x + N in both paths of _truncated_lifted: the
-        # paths agree, so only the checks that read row N + 1 can see it.
-        # theorem2 reports failures at every n. inequalities reads that
-        # row only through the harmonic upper bound, which the wrong row
-        # breaks at n = 6 and n = 8 alone; every other family and n passes.
+        # paths agree, but the lifted row's column 1 is (N + 1)(N - 1)!,
+        # not N!. The difference (N - 1)! has v2 = N - 1 - n, below the
+        # column's B, so the row invariant refuses it for every suite
+        # that reads row N + 1.
         times_linear, poly_mul = verifier_mod._times_linear, verifier_mod._poly_mul
         monkeypatch.setattr(verifier_mod, "_times_linear", lambda coeffs, c: times_linear(coeffs, c + 1))
         monkeypatch.setattr(verifier_mod, "_poly_mul", lambda a, b: poly_mul(a, [b[0] + 1, *b[1:]]))
         for n in range(2, 9):
-            assert check_theorem2(n).failures_total > 0
-        caught = {}
-        for n in range(2, 9):
-            r = check_inequalities(n)
-            caught[n] = (r.failures_total, {f.check_id for f in r.failures})
-        assert caught == {n: (1, {"harmonic_bound"}) if n in (6, 8) else (0, set()) for n in range(2, 9)}
-        assert run_suite(2, 8, ["inequalities"], jobs=1).failures_total == 2
+            for check in (check_theorem2, check_inequalities):
+                with pytest.raises(ConsistencyError, match=f"truncated row {2**n + 1} fails its invariant at column 1$"):
+                    check(n)
 
 
 class TestRunSuite:
