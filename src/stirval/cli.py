@@ -67,12 +67,6 @@ def _global_flags() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="override the row size cap",
     )
-    parent.add_argument(
-        "--jobs",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="verifier worker processes (default: 1)",
-    )
     return parent
 
 
@@ -115,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
 
-    p = sub.add_parser("verify", parents=[parent], help="run brute-force verification suites")
+    p = sub.add_parser("verify", parents=[parent], help="run brute-force verification suites (in one process)")
     p.add_argument("--suite", choices=SUITE_IDS + ("all",), default="all")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=6)
@@ -289,8 +283,7 @@ def _cmd_scan(args, cache_dir) -> int:
 
 
 def _cmd_verify(args, cache_dir) -> int:
-    checks = "all" if args.suite == "all" else [args.suite]
-    report = run_suite(args.n_min, args.n_max, checks, jobs=args.jobs)
+    report = run_suite(args.n_min, args.n_max, args.suite)
     failures = report.failures
     elapsed_ms = int(report.elapsed * 1000)
     doc = {
@@ -366,7 +359,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     # global flags use SUPPRESS so a value given before the subcommand
     # survives the subparser pass; fill the gaps here
-    for dest, fallback in (("format", "text"), ("cache_dir", None), ("max_n", None), ("jobs", 1)):
+    for dest, fallback in (("format", "text"), ("cache_dir", None), ("max_n", None)):
         if not hasattr(args, dest):
             setattr(args, dest, fallback)
     if args.max_n is not None and args.max_n < 0:

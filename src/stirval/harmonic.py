@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
-from .padic import Valuation, factorial_valuation, vp_int, vp_rat
+from .padic import Valuation, _require_prime, factorial_valuation, vp_int, vp_rat
 from .stirling_core import _cached_coeffs, _check_row_args, stirling
 
 
@@ -164,6 +164,9 @@ def conjecture_scan(p: int, k: int, n_max: int) -> list[tuple[int, Valuation, fl
     n = 1 the ratio is reported as 0.0 (ln 1 = 0, and v_p(H(1,1)) = 0
     anyway).
     """
+    # p is checked here, not first by vp_rat, so that an empty scan
+    # refuses a bad p too.
+    _require_prime(p)
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     # The last value is H(n_max, k), and harmonic_table(n_max) needs

@@ -4,7 +4,9 @@ Every check follows the same shape: build the relevant rows, derive
 the claimed quantity, compare. A report carries the total number of
 instances checked, the true number that failed, and a sample of the
 failing ones (capped), never just the first failure, because
-diagnosing a systematic off-by-one needs the full pattern.
+diagnosing a systematic off-by-one needs the full pattern. run_suite
+runs the selected checks one after another in one process, all of
+them reading the rows of one build for the run's largest n.
 
 Available checks:
 
@@ -123,7 +125,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -153,18 +154,24 @@ from .stirling_core import (
 )
 
 FAILURE_CAP = 100
-# Both engines build the ground truth; the five valuation suites read
-# it modulo 2**B_k (see the module docstring), identities exactly.
-GROUND_TRUTH_ENGINE = "recurrence+product_tree,mod2^B"
+# The routes the ground truth comes from (see the module docstring):
+# identities reads exact rows from the recurrence and the product tree;
+# the valuation suites read rows 2**n from the masked chain and
+# doubling, modulo 2**B_k; shifted rows come from the masked chain and
+# the Taylor shift.
+GROUND_TRUTH_ENGINE = "exact:recurrence+product_tree;mod2^B:chain+doubling;shifted:chain+taylor_shift"
 SUITE_IDS = ("theorem1", "theorem2", "lemma24", "lemma25", "identities", "inequalities")
 
-# Smallest n each per-n check is defined for; run_suite skips below it.
-_SUITE_MIN_N = {
-    "theorem1": 1,
-    "theorem2": 1,
-    "lemma24": 2,
-    "lemma25": 2,
-    "inequalities": 2,
+# Smallest n of each per-n check, and the check_<suite> that runs it.
+# run_suite skips n below the first and looks the second up in this
+# module's globals at call time, so a wrapper set on the module (as a
+# tracer does) sees every call.
+_PER_N_CHECKS = {
+    "theorem1": (1, "check_theorem1"),
+    "theorem2": (1, "check_theorem2"),
+    "lemma24": (2, "check_lemma24"),
+    "lemma25": (2, "check_lemma25"),
+    "inequalities": (2, "check_inequalities"),
 }
 
 _IDENTITY_SWEEP_CAP = 64
@@ -603,65 +610,40 @@ def check_inequalities(n: int, *, top: int | None = None) -> CheckReport:
     return col.report("inequalities", (n,), started)
 
 
-def _run_task(task: tuple) -> CheckReport:
-    kind, arg, top = task
-    if kind == "identities":
-        return check_identities(*arg)
-    runner = {
-        "theorem1": check_theorem1,
-        "theorem2": check_theorem2,
-        "lemma24": check_lemma24,
-        "lemma25": check_lemma25,
-        "inequalities": check_inequalities,
-    }[kind]
-    return runner(arg, top=top)
-
-
 def run_suite(n_min: int, n_max: int, checks="all", jobs: int = 1) -> CheckReport:
     """Run the selected checks for every n in [n_min, n_max] and merge.
 
-    checks is "all" or an iterable of ids from SUITE_IDS. The
-    identities sweep does not depend on a single n, so it runs once
+    checks is "all", one id from SUITE_IDS, or an iterable of such ids.
+    The identities sweep does not depend on a single n, so it runs once
     with both axes set to n_max. Per-n checks are skipped for n below
     their smallest valid argument, and read their truncated rows from
     one build for n_max, made by the first check that needs it.
-    jobs > 1 fans independent tasks out to worker processes, each of
-    which makes that build once; the merged report is identical either
-    way.
+
+    Verification runs in one process, in this call: every check reads
+    the same build, so a worker pool would only repeat it. jobs is kept
+    because callers such as perfbench/passes.py pass jobs=1; any other
+    value raises DomainError.
     """
     if n_min < 1 or n_min > n_max:
         raise DomainError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    if jobs < 1:
-        raise DomainError(f"need jobs >= 1, got {jobs}")
+    if jobs != 1:
+        raise DomainError(f"verification runs in one process: need jobs == 1, got {jobs}")
     if checks == "all":
         selected = list(SUITE_IDS)
     else:
-        selected = sorted(set(checks))
+        selected = sorted({checks} if isinstance(checks, str) else set(checks))
         unknown = [c for c in selected if c not in SUITE_IDS]
         if unknown:
             raise DomainError(f"unknown check ids: {', '.join(map(str, unknown))}")
     started = time.perf_counter()
-    tasks: list[tuple] = []
+    reports: list[CheckReport] = []
     for check in selected:
         if check == "identities":
-            tasks.append(("identities", (n_max, n_max), None))
+            reports.append(check_identities(n_max, n_max))
             continue
-        for n in range(max(n_min, _SUITE_MIN_N[check]), n_max + 1):
-            tasks.append((check, n, n_max))
-
-    if jobs > 1 and len(tasks) > 1:
-        # Imported here: it loads multiprocessing, which a serial run
-        # never needs.
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(_run_task, tasks))
-        except (OSError, PermissionError) as exc:
-            warnings.warn(f"worker pool unavailable ({exc}); running serially")
-            reports = [_run_task(t) for t in tasks]
-    else:
-        reports = [_run_task(t) for t in tasks]
+        n_first, name = _PER_N_CHECKS[check]
+        for n in range(max(n_min, n_first), n_max + 1):
+            reports.append(globals()[name](n, top=n_max))
 
     total = sum(r.total for r in reports)
     failures: list[CheckResult] = []

@@ -38,7 +38,7 @@ def _report(num: int, description: str, passed: bool, detail: str = "") -> None:
 
 def test_criterion_1_interior_predictions_match_brute_force():
     desc = "closed-form v2 predictions match every column of rows 4..1024"
-    report = run_suite(2, 10, ["theorem1"], jobs=1)
+    report = run_suite(2, 10, ["theorem1"])
     spot = vp_int(2, stirling(4, 2)) == 0 and vp_int(2, stirling(4, 1)) == 1
     ok = report.total == 2044 and report.failures == [] and spot and report.elapsed < 120
     _report(1, desc, ok, f"total={report.total} failures={len(report.failures)} elapsed={report.elapsed:.1f}s")
@@ -46,7 +46,7 @@ def test_criterion_1_interior_predictions_match_brute_force():
 
 def test_criterion_2_row_extension_transfer():
     desc = "v2 transfers unchanged from row 2**n to row 2**n + 1 for n=1..10"
-    report = run_suite(1, 10, ["theorem2"], jobs=1)
+    report = run_suite(1, 10, ["theorem2"])
     ok = report.total == 2046 and report.failures == []
     _report(2, desc, ok, f"total={report.total} failures={len(report.failures)}")
 
@@ -94,7 +94,7 @@ def test_criterion_5_identity_sweep_and_shifted_fixtures():
 
 def test_criterion_6_step_and_drop_inequalities():
     desc = "step and drop inequalities hold across rows 4..1024"
-    report = run_suite(2, 10, ["inequalities"], jobs=1)
+    report = run_suite(2, 10, ["inequalities"])
     ok = report.failures == [] and report.total > 0
     _report(6, desc, ok, f"total={report.total} failures={len(report.failures)}")
 

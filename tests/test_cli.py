@@ -235,17 +235,21 @@ class TestHarmonicAndScan:
         assert rows[0] == ["n", "valuation", "ratio"]
         assert [r[0] for r in rows[1:]] == ["2", "3"]
 
+    @pytest.mark.parametrize("k", ("1", "5"))
+    def test_scan_bad_p_usage_error(self, capsys, k):
+        # k = 5 > n-max scans nothing; p is refused all the same
+        code, out, err = run(capsys, "scan", "--p", "4", "--k", k, "--n-max", "3")
+        assert code == 2 and out == "" and "prime" in err
+
 
 class TestVerifyCommand:
     def test_passing_suite_exit_zero(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "4", "--jobs", "1")
+        code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "4")
         assert code == 0
         assert out.startswith("PASS suite=theorem1")
 
     def test_json_report_schema(self, capsys):
-        code, out, _ = run(
-            capsys, "--format", "json", "verify", "--suite", "theorem2", "--n-min", "1", "--n-max", "3", "--jobs", "1"
-        )
+        code, out, _ = run(capsys, "--format", "json", "verify", "--suite", "theorem2", "--n-min", "1", "--n-max", "3")
         assert code == 0
         report = json.loads(out)
         assert set(report) == {"suite", "range", "total", "failures_total", "failures", "elapsed_ms"}
@@ -263,20 +267,18 @@ class TestVerifyCommand:
         )
         code, out, _ = run(
             capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "2",
-            "--jobs", "1", "--format", "csv",
+            "--format", "csv",
         )
         assert code == 1
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["check_id", "n", "instance", "expected", "actual", "passed"]
         assert len(rows) == 3  # two interior columns fail
         assert all(r[0] == "theorem1" and r[5] == "False" for r in rows[1:])
-        code, out, _ = run(
-            capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "2", "--jobs", "1"
-        )
+        code, out, _ = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "2")
         assert code == 1
         head, *lines = out.splitlines()
         assert head.startswith("FAIL suite=theorem1 range=(2, 2) total=4 failures=2 elapsed_ms=")
-        assert head.endswith(" engine=recurrence+product_tree,mod2^B")
+        assert head.endswith(" engine=exact:recurrence+product_tree;mod2^B:chain+doubling;shifted:chain+taylor_shift")
         assert lines == [
             "  FAIL theorem1 instance=(2, 1) expected=2 actual=1",
             "  FAIL theorem1 instance=(2, 2) expected=1 actual=0",
@@ -287,7 +289,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             formulas_mod, "theorem1_valuation", lambda n, m, k: original(n, m, k) + 1
         )
-        argv = ("verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "8", "--jobs", "1")
+        argv = ("verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "8")
         failed = sum(2**n - 2 for n in range(2, 9))  # all but the two boundary columns
         code, out, _ = run(capsys, *argv)
         assert code == 1
@@ -317,7 +319,7 @@ class TestVerifyCommand:
         for cache in truncated:
             cache.cache_clear()
         try:
-            code, out, err = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "8", "--jobs", "1")
+            code, out, err = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "8")
         finally:
             for cache in truncated:
                 cache.cache_clear()
@@ -343,8 +345,7 @@ class TestVerifyCommand:
         assert reports[0] == reports[1]
 
     def test_default_run_never_loads_multiprocessing(self):
-        # --jobs defaults to one process, and the worker pool is
-        # imported only for jobs > 1.
+        # verify runs in one process and never imports a pool.
         src = str(Path(stirval.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -357,10 +358,11 @@ class TestVerifyCommand:
         assert proc.stdout.startswith("PASS suite=all")
         assert proc.stdout.splitlines()[-1] == "0 []"
 
-    @pytest.mark.parametrize("jobs", ("0", "-4"))
+    @pytest.mark.parametrize("jobs", ("0", "-4", "1", "2"))
     def test_bad_jobs_usage_error(self, capsys, jobs):
+        # --jobs is gone: verify runs in one process, whatever the value.
         code, out, err = run(capsys, "verify", "--suite", "theorem1", "--n-max", "2", "--jobs", jobs)
-        assert code == 2 and out == "" and "jobs" in err
+        assert code == 2 and out == "" and "--jobs" in err
 
     def test_bad_suite_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")

@@ -247,6 +247,11 @@ class TestConjectureScan:
             conjecture_scan(4, 1, 10)
         with pytest.raises(DomainError):
             conjecture_scan(2, 0, 10)
+        # p is refused even when the scan is empty (k > n_max)
+        with pytest.raises(DomainError, match="prime"):
+            conjecture_scan(4, 5, 3)
+        with pytest.raises(DomainError, match="prime"):
+            conjecture_scan(1, 5, 3)
 
     def test_empty_when_bound_below_k(self):
         assert conjecture_scan(2, 5, 4) == []

@@ -4,7 +4,6 @@ import functools
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -262,7 +261,7 @@ class TestLiftedRow:
 
         monkeypatch.setattr(verifier_mod, "_chain_masked", counted_chain)
         monkeypatch.setattr(verifier_mod, "_double_masked", counted_double)
-        r = run_suite(n, n, ["theorem2", "inequalities"], jobs=1)
+        r = run_suite(n, n, ["theorem2", "inequalities"])
         assert r.total > 0 and r.failures_total == 0
         assert not [c for c in calls if c[1] == 2**n + 1]
         # row 2**n is built once by each masked route, and never exactly:
@@ -377,7 +376,7 @@ class TestTruncatedRows:
     def test_zero_bits_fail_every_check(self, monkeypatch, fresh_caches):
         # nothing known: every column unresolved, so nothing may pass
         monkeypatch.setattr(verifier_mod, "_precisions", lambda n: (0,) * (2**n + 1))
-        r = run_suite(2, 5, VALUATION_SUITES, jobs=1)
+        r = run_suite(2, 5, VALUATION_SUITES)
         assert r.total == _valuation_checks(2, 5)
         assert r.failures_total == r.total
 
@@ -491,7 +490,7 @@ class TestTruncatedRows:
             check_theorem1(8)
 
     def test_valuation_suites_pass_at_n_11(self):
-        r = run_suite(11, 11, VALUATION_SUITES, jobs=1)
+        r = run_suite(11, 11, VALUATION_SUITES)
         assert r.total == _valuation_checks(11, 11) == 17405
         assert r.failures_total == 0
 
@@ -549,7 +548,7 @@ class TestSharedBuild:
         monkeypatch.setattr(verifier_mod, "_chain_masked", counted_chain)
         monkeypatch.setattr(verifier_mod, "_double_masked", counted_double)
         monkeypatch.setattr(stirling_mod, "_expand_range", counted_expand)
-        r = run_suite(2, 10, "all", jobs=1)
+        r = run_suite(2, 10, "all")
         assert (r.total, r.failures_total) == (20089, 0)
         blocks = [(0, 1)] + [(2**j, 2 ** (j + 1)) for j in range(10)]
         assert chains == blocks + [(2**n, 2 ** (n + 1)) for n in range(2, 11)]
@@ -643,11 +642,11 @@ class TestSharedBuild:
 
         monkeypatch.setattr(verifier_mod, "_taylor_shift_masked", counted_taylor)
         monkeypatch.setattr(verifier_mod, "_chain_masked", counted_chain)
-        r = run_suite(2, 10, ["theorem1", "theorem2", "lemma25", "inequalities"], jobs=1)
+        r = run_suite(2, 10, ["theorem1", "theorem2", "lemma25", "inequalities"])
         assert r.total > 0 and r.failures_total == 0
         assert shifts == [] and (1024, 2048) not in chains
         _clear_row_caches()
-        r = run_suite(2, 10, "all", jobs=1)
+        r = run_suite(2, 10, "all")
         assert (r.total, r.failures_total) == (20089, 0)
         assert sorted(shifts) == list(range(2, 11))
 
@@ -710,56 +709,61 @@ class TestReadTimeFaults:
 
 class TestRunSuite:
     def test_all_suites_tiny_range(self):
-        r = run_suite(2, 2, "all", jobs=1)
+        r = run_suite(2, 2, "all")
         assert isinstance(r, CheckReport)
         assert r.suite == "all"
         assert r.range == (2, 2)
         assert r.total == 89
         assert r.failures == []
         assert r.elapsed >= 0
-        assert r.ground_truth_engine == "recurrence+product_tree,mod2^B"
+        assert r.ground_truth_engine == "exact:recurrence+product_tree;mod2^B:chain+doubling;shifted:chain+taylor_shift"
 
     def test_subset_selection_and_name(self):
-        r = run_suite(2, 3, ["theorem1", "lemma25"], jobs=1)
+        r = run_suite(2, 3, ["theorem1", "lemma25"])
         assert r.suite == "lemma25+theorem1"
         assert r.total == 18
         assert not r.failures
 
     def test_min_n_filtering(self):
         # lemma suites only start at n = 2; n = 1 contributes nothing to them
-        r1 = run_suite(1, 2, ["lemma25"], jobs=1)
-        r2 = run_suite(2, 2, ["lemma25"], jobs=1)
+        r1 = run_suite(1, 2, ["lemma25"])
+        r2 = run_suite(2, 2, ["lemma25"])
         assert r1.total == r2.total
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
-            run_suite(2, 3, ["nonsense"], jobs=1)
+            run_suite(2, 3, ["nonsense"])
 
     def test_bad_range_rejected(self):
         with pytest.raises(DomainError):
-            run_suite(3, 2, "all", jobs=1)
+            run_suite(3, 2, "all")
         with pytest.raises(DomainError):
-            run_suite(0, 2, "all", jobs=1)
+            run_suite(0, 2, "all")
 
-    @pytest.mark.parametrize("jobs", (0, -4))
+    @pytest.mark.parametrize("jobs", (0, -4, 2))
     def test_bad_jobs_rejected(self, jobs):
-        with pytest.raises(DomainError, match="jobs"):
+        with pytest.raises(DomainError, match="one process"):
             run_suite(2, 2, "all", jobs=jobs)
 
-    def test_parallel_matches_serial(self):
-        serial = run_suite(2, 4, "all", jobs=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # pool may be unavailable in a sandbox
-            parallel = run_suite(2, 4, "all", jobs=2)
-        assert parallel.suite == serial.suite
-        assert parallel.range == serial.range
-        assert parallel.total == serial.total
-        assert parallel.failures == serial.failures
+    def test_bare_suite_id_is_one_id(self):
+        a, b = run_suite(2, 3, "theorem1"), run_suite(2, 3, ["theorem1"])
+        assert (a.suite, a.range, a.total, a.failures_total, a.failures) == (
+            b.suite, b.range, b.total, b.failures_total, b.failures
+        )
 
-    def test_jobs_do_not_change_the_report(self, fresh_caches, monkeypatch, tmp_path):
-        # A +1 in the formula gives failures past the sample cap to
-        # compare. Every task reads the rows of one build, for n_max,
-        # in whichever process runs it (forked workers log reads too).
+    def test_checks_are_looked_up_at_call_time(self, monkeypatch):
+        # A wrapper set on the module, as the benchmark's tracer sets
+        # one, must see every per-n call.
+        calls = []
+        check = verifier_mod.check_lemma25
+        monkeypatch.setattr(verifier_mod, "check_lemma25", lambda n, **kw: calls.append(n) or check(n, **kw))
+        run_suite(1, 4, "lemma25")
+        assert calls == [2, 3, 4]
+
+    def test_every_check_reads_the_one_build_for_n_max(self, fresh_caches, monkeypatch, tmp_path):
+        # A +1 in the formula gives failures past the sample cap: the
+        # report counts them all but keeps only FAILURE_CAP. Every
+        # check reads the rows of one build, for n_max.
         original = formulas_mod.theorem1_valuation
         monkeypatch.setattr(formulas_mod, "theorem1_valuation", lambda n, m, k: original(n, m, k) + 1)
         log = tmp_path / "reads"
@@ -768,30 +772,26 @@ class TestRunSuite:
         @functools.wraps(read)
         def logged(top):
             with open(log, "a") as f:
-                f.write(f"{os.getpid()} {top}\n")
+                f.write(f"{top}\n")
             return read(top)
 
         monkeypatch.setattr(verifier_mod, "_truncated_rows", logged)
-        serial = run_suite(2, 7, "all", jobs=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # pool may be unavailable in a sandbox
-            parallel = run_suite(2, 7, "all", jobs=2)
-        assert serial.failures_total == sum(2**n - 2 for n in range(2, 8)) > FAILURE_CAP
-        assert (parallel.total, parallel.failures_total) == (serial.total, serial.failures_total)
-        assert parallel.failures == serial.failures
-        assert {line.split()[1] for line in log.read_text().splitlines()} == {"7"}
+        r = run_suite(2, 7, "all")
+        assert r.failures_total == sum(2**n - 2 for n in range(2, 8)) > FAILURE_CAP
+        assert len(r.failures) == FAILURE_CAP
+        assert set(log.read_text().splitlines()) == {"7"}
 
     def test_serial_run_never_loads_multiprocessing(self):
-        # The worker pool is imported only for jobs > 1.
+        # Verification runs in one process and never imports a pool.
         src = str(Path(stirval.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         code = (
-            "import sys, stirval; r = stirval.run_suite(2, 3, 'all', jobs=1);"
+            "import sys, stirval; r = stirval.run_suite(2, 3, 'all');"
             "print(r.total, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert proc.stdout == f"{run_suite(2, 3, 'all', jobs=1).total} []\n"
+        assert proc.stdout == f"{run_suite(2, 3, 'all').total} []\n"
 
     def test_suite_ids_constant(self):
         assert set(SUITE_IDS) == {
@@ -825,7 +825,7 @@ class TestFailurePlumbing:
         monkeypatch.setattr(
             formulas_mod, "theorem1_valuation", lambda n, m, k: original(n, m, k) + 1
         )
-        r = run_suite(2, 8, ["theorem1"], jobs=1)
+        r = run_suite(2, 8, ["theorem1"])
         assert len(r.failures) == FAILURE_CAP == 100
         # the true count goes past the sample cap: every column but the
         # two boundary ones fails
