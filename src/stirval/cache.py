@@ -25,8 +25,9 @@ passes every check is served, in part or in full.
 
 A row is stored as it was built, by either of two routes in the CLI:
 a product-tree expansion, or, on the int backend for n below
-stirling_core._CHAIN_BELOW_N, the largest smaller cached row of the
-same shift that passes a full load, extended by recurrence steps.
+stirling_core._CHAIN_BELOW_N (_CHAIN_BELOW_N_TWO_CORES where the tree
+runs in two processes), the largest smaller cached row of the same
+shift that passes a full load, extended by recurrence steps.
 Neither kind is checked against the other engine; the checksum guards
 only the file. stored_rows lists the candidates for the second route
 by file name.

@@ -23,6 +23,20 @@ still multiplies by some fixed polynomial (say x + c + 1); the tests
 pin rows against closed-form columns and n!, which such a fault
 breaks.
 
+From _FORK_MIN_N factors up, where os.fork exists, two CPUs are usable
+and no other thread runs, each engine builds its row in two processes
+through _in_two_processes, which forks one worker joined by two pipes.
+The recurrence splits the columns: the parent steps the low ones and
+streams the column below the cut to the worker, which steps the rest
+with the same step. The tree builds its two halves in the two
+processes and splits the root product between them. Each engine is
+still its own arithmetic, cut in two: the recurrence still never packs
+and shares only _times_linear with the tree, whose worker still joins
+leaves only by _poly_mul. The helper moves finished numbers and
+computes none, so a fault in it breaks the two engines differently,
+and the worker inherits any fault planted in the parent. Anywhere else
+the serial code runs unchanged.
+
 Coefficients reach hundreds of kilobits near the configured cap, so
 rows are handled as flat lists and multiplied via Kronecker
 substitution (pack the coefficients of a polynomial into one giant
@@ -46,9 +60,12 @@ and argues their soundness.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import math
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import accumulate
@@ -83,14 +100,41 @@ _SCHOOLBOOK_LEN = 8
 # faster at 2**21, 11x at 2**25).
 _DECIMAL_BITS = 2 ** 18
 
-# Without gmpy2, the whole recurrence builds rows below this n about as
-# fast as the product tree or faster (medians of three to six runs on
-# Python 3.11: 2.0 against 2.7 s at n = 2048, 4.6 against 4.4 s at
-# 2560, 5.6 against 5.9 s at 2816; the tree wins at 4096), so
-# multiplying a cached row m < n up to row n by recurrence steps, a
-# tail of that recurrence, beats a fresh tree. With gmpy2 the tree is
-# about ten times faster and no row is built this way.
+# Without gmpy2, the whole recurrence in one process builds rows below
+# these n about as fast as the product tree or faster, so multiplying a
+# cached row m < n up to row n by recurrence steps, a tail of that
+# recurrence, beats a fresh tree. _CHAIN_BELOW_N holds where the tree
+# runs in one process (medians of three to six runs on Python 3.11:
+# 2.0 against 2.7 s at n = 2048, 4.6 against 4.4 s at 2560, 5.6 against
+# 5.9 s at 2816; the tree wins at 4096), _CHAIN_BELOW_N_TWO_CORES where
+# it runs in two (medians of five on 2 cores: 0.92 against 0.87 s at
+# 1792, 1.47 against 1.18 s at 2048). With gmpy2 the tree is about ten
+# times faster and no row is built this way.
 _CHAIN_BELOW_N = 3072
+_CHAIN_BELOW_N_TWO_CORES = 1792
+
+# Exact builds from this many linear factors up run in two processes
+# where _two_cores allows. Two-process
+# time over one-process time, recurrence and tree, medians of seven to
+# fifteen alternating runs on 2 cores: 0.78 and 0.75 at 768, 0.75 and
+# 0.64 at 1024; from 384 to 704 the ratios ranged from 0.75 to 1.23.
+_FORK_MIN_N = 768
+
+# The two-process recurrence steps columns [0, n * _RECURRENCE_CUT) in
+# the parent and the rest in the worker, and sends the carry column
+# over in batches of _CARRY_BATCH steps. The parent's columns hold the
+# larger numbers, hence a cut below n/2; cuts from 0.22 to 0.36 timed
+# within run-to-run noise of each other. Near row 1900 a batch of 64
+# carries outgrew the 64 KiB a pipe buffers, so each send waited for
+# the worker to finish the batch before; 16 leaves room for several.
+_RECURRENCE_CUT = 0.28
+_CARRY_BATCH = 16
+
+# The two-process tree's worker multiplies the left half A by the first
+# len(B) * _ROOT_SPLIT coefficients of the right half B, and the parent
+# A by the rest. The low columns of B are the widest; near row 1900 the
+# two products took 0.52 and 0.60 s at 0.3, 0.57 and 0.48 s at 0.4.
+_ROOT_SPLIT = 0.35
 
 # Multiplies in this context are exact or raise: the precision and the
 # exponent range are the largest libmpdec has, and every signal that
@@ -146,9 +190,141 @@ def _times_linear(coeffs: Sequence[int], c: int) -> list[int]:
     return [c * coeffs[0]] + [c * v + u for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
 
 
+def _two_cores(n: int) -> bool:
+    """Whether an exact build from n linear factors runs in two processes.
+
+    Never while another thread runs: a forked worker could inherit a
+    lock that thread holds.
+    """
+    if n < _FORK_MIN_N or not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+class _Channel:
+    """Pickled frames between the parent and its worker, one pipe each way."""
+
+    def __init__(self, what: str, read_fd: int, write_fd: int):
+        import pickle  # not at module level: see _in_two_processes
+
+        self.what = what
+        self._dump, self._load = pickle.dump, pickle.load
+        self._read = open(read_fd, "rb")
+        self._write = open(write_fd, "wb")
+
+    def send(self, obj) -> None:
+        try:
+            self._dump(obj, self._write)
+            self._write.flush()
+        except BrokenPipeError:
+            raise ConsistencyError(f"{self.what}: the other process closed its pipe early") from None
+
+    def recv(self):
+        try:
+            return self._load(self._read)
+        except EOFError:
+            raise ConsistencyError(f"{self.what}: the other process closed its pipe early") from None
+
+    def close(self) -> None:
+        self._read.close()
+        # Bytes still buffered for a process that is gone are not needed.
+        with contextlib.suppress(BrokenPipeError):
+            self._write.close()
+
+
+def _in_two_processes(
+    what: str, worker: Callable[[_Channel], None], parent: Callable[[_Channel], list[int]]
+) -> list[int]:
+    """parent(channel) here, worker(channel) in one forked process; parent's result.
+
+    The worker inherits the whole process, including any monkeypatch,
+    and leaves by os._exit: status 0 once worker returns, 1 if it
+    raised (its traceback goes to file descriptor 2). The parent always
+    reaps it, and kills it first if parent raised. A worker that exits
+    non-zero or closes its pipe early makes the parent raise
+    ConsistencyError naming what was being built.
+    """
+    # Imported here and in _Channel, not at module level: only builds
+    # that fork need them, and every process that imports this module,
+    # such as each CLI command, would pay for them at start-up.
+    import signal
+    import traceback
+
+    down_read, down_write = os.pipe()
+    up_read, up_write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (down_read, down_write, up_read, up_write):
+            os.close(fd)
+        raise
+    if pid == 0:  # pragma: no cover - runs in the worker, which never returns
+        code = 1
+        try:
+            os.close(down_write)
+            os.close(up_read)
+            worker(_Channel(what, down_read, up_write))
+            code = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    os.close(down_read)
+    os.close(up_write)
+    channel = _Channel(what, up_read, down_write)
+    try:
+        result = parent(channel)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        channel.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise ConsistencyError(f"{what}: the worker exited with status {os.waitstatus_to_exitcode(status)}")
+    return result
+
+
+def _recurrence_in_two_processes(n: int) -> list[int]:
+    # Columns [0, cut) step here and stream column cut - 1, the carry
+    # into column cut, to the worker, which steps columns [cut, n] as
+    # the tail of [carry, *high]. Column cut - 1 first exists in row
+    # cut - 1, so the worker takes steps cut - 1 .. n - 1.
+    cut = max(1, int(n * _RECURRENCE_CUT))
+
+    def low(channel: _Channel) -> list[int]:
+        row, batch = [1], []
+        for i in range(n):
+            if i >= cut - 1:
+                batch.append(row[cut - 1])
+                if len(batch) == _CARRY_BATCH:
+                    channel.send(batch)
+                    batch = []
+            row = _times_linear(row, i)[:cut]
+        if batch:
+            channel.send(batch)
+        return row + channel.recv()
+
+    def high(channel: _Channel) -> None:
+        row, c = [], cut - 1
+        while c < n:
+            for carry in channel.recv():
+                row = _times_linear([carry, *row], c)[1:]
+                c += 1
+        channel.send(row)
+
+    return _in_two_processes(f"row {n}", high, low)
+
+
 def row_recurrence(n: int) -> StirlingRow:
     """Build s(n,0..n) bottom-up from the two-term recurrence."""
     _check_row_args(n)
+    if _two_cores(n):
+        return StirlingRow(n, tuple(_recurrence_in_two_processes(n)), "recurrence")
     row = [1]
     for i in range(n):
         row = _times_linear(row, i)
@@ -237,6 +413,38 @@ def _expand_range(lo: int, hi: int) -> list[int]:
         return _expand_chain(lo, hi)
     mid = lo + count // 2
     return _poly_mul(_expand_range(lo, mid), _expand_range(mid, hi))
+
+
+def _expand(lo: int, hi: int, what: str) -> list[int]:
+    """_expand_range(lo, hi), its top call split over two processes when _two_cores.
+
+    The worker builds the left half A and the parent the right half B.
+    The root product is split too: the worker multiplies A by B[:h] and
+    the parent A by B[h:]; the parent adds the two, the second shifted
+    up by h columns.
+    """
+    if not _two_cores(hi - lo):
+        return _expand_range(lo, hi)
+    mid = lo + (hi - lo) // 2
+
+    def left(channel: _Channel) -> None:
+        a = _expand_range(lo, mid)
+        channel.send(a)
+        channel.send(_poly_mul(a, channel.recv()))
+
+    def right(channel: _Channel) -> list[int]:
+        b = _expand_range(mid, hi)
+        a = channel.recv()
+        h = max(1, int(len(b) * _ROOT_SPLIT))
+        channel.send(b[:h])
+        out = _poly_mul(a, b[h:])
+        low = channel.recv()
+        out = low[:h] + out
+        for i, c in enumerate(low[h:], h):
+            out[i] += c
+        return out
+
+    return _in_two_processes(what, left, right)
 
 
 # The masked chain's per-element head reduces its columns once per this
@@ -517,13 +725,13 @@ def _taylor_shift_masked(
 def row_product_tree(n: int) -> StirlingRow:
     """Build s(n,0..n) by balanced expansion of x(x+1)...(x+n-1)."""
     _check_row_args(n)
-    return StirlingRow(n, tuple(_expand_range(0, n)), "product_tree")
+    return StirlingRow(n, tuple(_expand(0, n, f"row {n}")), "product_tree")
 
 
 def shifted_row_expand(m: int, n: int) -> ShiftedRow:
     """Expand (x+m)(x+m+1)...(x+m+n-1) into s_m(n,0..n)."""
     _check_row_args(n, m)
-    return ShiftedRow(m, n, tuple(_expand_range(m, m + n)))
+    return ShiftedRow(m, n, tuple(_expand(m, m + n, f"shifted row ({m}, {n})")))
 
 
 def _capped_cache(maxsize: int, check):

@@ -638,13 +638,19 @@ class TestMissFromLowerRow:
         assert (cache_dir / "row_s0_n30.stirval").exists()
 
     @pytest.mark.parametrize(
-        "attr, value",
-        (("_CHAIN_BELOW_N", 30), ("_mpz", type("mpz", (int,), {}))),
-        ids=("at-crossover", "not-int-backend"),
+        "patches",
+        (
+            {"_CHAIN_BELOW_N": 30},
+            {"_mpz": type("mpz", (int,), {})},
+            # the tree runs in two processes, which moves the crossover
+            {"_CHAIN_BELOW_N_TWO_CORES": 30, "_two_cores": lambda n: True},
+        ),
+        ids=("at-crossover", "not-int-backend", "at-two-process-crossover"),
     )
-    def test_product_tree_where_the_chain_loses(self, capsys, tmp_path, monkeypatch, attr, value):
+    def test_product_tree_where_the_chain_loses(self, capsys, tmp_path, monkeypatch, patches):
         run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
-        monkeypatch.setattr(stirling_mod, attr, value)
+        for attr, value in patches.items():
+            monkeypatch.setattr(stirling_mod, attr, value)
         built = []
         real = stirling_mod.row_product_tree
         monkeypatch.setattr(stirling_mod, "row_product_tree", lambda n: built.append(n) or real(n))

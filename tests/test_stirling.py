@@ -1,7 +1,12 @@
 """Row generation engines, shifted rows, and cross-check identities."""
 
 import math
+import os
+import re
+import signal
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -404,3 +409,156 @@ class TestSpecialValues:
             special_value(1, "n-2")
         with pytest.raises(DomainError):
             special_value(0, "1")
+
+
+def _no_child_left():
+    # Every worker has been reaped: the process has no children at all.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _builders(n):
+    return {
+        "recurrence": lambda: row_recurrence(n).coeffs,
+        "product_tree": lambda: row_product_tree(n).coeffs,
+        "shifted": lambda: shifted_row_expand(7, n).coeffs,
+    }
+
+
+def _chain_rows(n):
+    # The same rows by recurrence steps alone, in this process.
+    plain = tuple(stirling_mod._expand_chain(0, n))
+    return {"recurrence": plain, "product_tree": plain, "shifted": tuple(stirling_mod._expand_chain(7, 7 + n))}
+
+
+@pytest.fixture
+def deadline():
+    # A hung pipe fails the test in seconds instead of stalling the run.
+    def expire(signum, frame):
+        raise TimeoutError("two-process build did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # Counts the workers started.
+    started = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: started.append(1) or real())
+    return started
+
+
+@pytest.fixture
+def two_cpus(monkeypatch, forks):
+    # Rows from 32 factors up take the two-process path.
+    monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 32)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process path needs os.fork")
+class TestTwoProcesses:
+    def test_rows_equal_serial_rows(self, monkeypatch, forks, deadline):
+        # Through n = 8 the cut is 1 and the root split h = 1, their
+        # smallest values; n = 20 sends exactly one full carry batch.
+        sizes = list(range(41)) + [100, 257, 600]
+        serial = {n: {name: build() for name, build in _builders(n).items()} for n in sizes}
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for n in sizes:
+            for name, build in _builders(n).items():
+                assert build() == serial[n][name], (name, n)
+            _no_child_left()
+        assert len(forks) == 3 * len(sizes)
+        assert shifted_row_expand(2**40, 12).coeffs == tuple(stirling_mod._expand_chain(2**40, 2**40 + 12))
+
+    @pytest.mark.parametrize("engine", ["recurrence", "product_tree", "shifted"])
+    @pytest.mark.parametrize("fault", ["raise", "exit", "exit_after_send"])
+    def test_worker_failure_names_the_row(self, monkeypatch, two_cpus, deadline, engine, fault):
+        parent = os.getpid()
+        if fault == "exit_after_send":
+            send = stirling_mod._Channel.send
+
+            def faulty_send(channel, obj):
+                send(channel, obj)
+                if os.getpid() != parent:
+                    os._exit(3)
+
+            monkeypatch.setattr(stirling_mod._Channel, "send", faulty_send)
+        else:
+            step = stirling_mod._times_linear
+
+            def faulty(coeffs, c):
+                if os.getpid() != parent:
+                    if fault == "exit":
+                        os._exit(3)
+                    raise RuntimeError("planted in the worker")
+                return step(coeffs, c)
+
+            monkeypatch.setattr(stirling_mod, "_times_linear", faulty)
+        what = "shifted row (7, 40)" if engine == "shifted" else "row 40"
+        with pytest.raises(stirling_mod.ConsistencyError, match=rf"^{re.escape(what)}: ") as caught:
+            _builders(40)[engine]()
+        if (engine, fault) == ("recurrence", "exit_after_send"):
+            # The whole result arrived; only the exit status shows the fault.
+            assert str(caught.value) == "row 40: the worker exited with status 3"
+        assert two_cpus == [1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("engine", ["recurrence", "product_tree", "shifted"])
+    def test_parent_failure_kills_the_worker(self, monkeypatch, two_cpus, deadline, engine):
+        # The worker is still busy when the parent raises, so only a kill
+        # ends it before the deadline.
+        parent = os.getpid()
+        step = stirling_mod._times_linear
+
+        def faulty(coeffs, c):
+            if os.getpid() != parent:
+                time.sleep(600)
+            elif c >= 30:
+                raise RuntimeError("planted in the parent")
+            return step(coeffs, c)
+
+        monkeypatch.setattr(stirling_mod, "_times_linear", faulty)
+        with pytest.raises(RuntimeError, match="planted in the parent"):
+            _builders(40)[engine]()
+        assert two_cpus == [1]
+        _no_child_left()
+
+    def test_one_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", None)
+        assert {name: build() for name, build in _builders(40).items()} == _chain_rows(40)
+
+    def test_another_thread_means_serial(self, two_cpus):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert {name: build() for name, build in _builders(40).items()} == _chain_rows(40)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert two_cpus == []
+
+    @pytest.mark.parametrize("cpus, forked", [(1, False), (2, True), (None, False)])
+    def test_cpu_count_stands_in_for_affinity(self, monkeypatch, forks, deadline, cpus, forked):
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 32)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert row_product_tree(40).coeffs == tuple(stirling_mod._expand_chain(0, 40))
+        assert forks == ([1] if forked else [])
+        _no_child_left()
+
+    def test_no_fork_call_means_serial(self, monkeypatch):
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.delattr(os, "fork")
+        assert {name: build() for name, build in _builders(40).items()} == _chain_rows(40)

@@ -123,6 +123,23 @@ class TestIdentitiesCheck:
         with pytest.raises(ConsistencyError, match=r"^row 1 fails its invariants: s\(n, 0\) = \[n = 0\], sum = n!$"):
             check_identities(4, 4)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process path needs os.fork")
+    def test_shared_step_fault_raises_on_two_processes(self, monkeypatch, fresh_caches):
+        # The workers inherit the planted step through fork, so both
+        # engines still build (x+1)...(x+n) and agree on it.
+        original = stirling_mod._times_linear
+        monkeypatch.setattr(stirling_mod, "_times_linear", lambda coeffs, c: original(coeffs, c + 1))
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 32)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^row 40 fails its invariants: s\(n, 0\) = \[n = 0\], s\(n, 1\) = \(n-1\)!, sum = n!$",
+        ):
+            verifier_mod._verified_plain_coeffs(40)
+        assert forks == [1, 1]
+
     def test_fault_in_both_engines_fails_the_sums(self, monkeypatch, fresh_caches):
         # +1 on column 2 of every plain row from both engines: only the
         # row sum and the alternating sum see it
@@ -744,6 +761,14 @@ class TestRunSuite:
     def test_bad_jobs_rejected(self, jobs):
         with pytest.raises(DomainError, match="one process"):
             run_suite(2, 2, "all", jobs=jobs)
+
+    def test_paper_range_never_forks(self, monkeypatch, fresh_caches):
+        # Its exact rows stop at 20 factors, far below _FORK_MIN_N, so the
+        # paper's range runs in one process even where two CPUs are usable.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("run_suite forked a worker"))
+        r = run_suite(2, 10, "all")
+        assert (r.total, r.failures_total) == (20089, 0)
 
     def test_bare_suite_id_is_one_id(self):
         a, b = run_suite(2, 3, "theorem1"), run_suite(2, 3, ["theorem1"])
