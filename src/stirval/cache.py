@@ -23,14 +23,11 @@ full load does: the header, the line count and the checksum over the
 whole payload, plus the key of the line it reads. Only a file that
 passes every check is served, in part or in full.
 
-A row is stored as it was built, by either of two routes in the CLI:
-a product-tree expansion, or, on the int backend for n below
-stirling_core._CHAIN_BELOW_N (_CHAIN_BELOW_N_TWO_CORES where the tree
-runs in two processes), the largest smaller cached row of the same
-shift that passes a full load, extended by recurrence steps.
-Neither kind is checked against the other engine; the checksum guards
-only the file. stored_rows lists the candidates for the second route
-by file name.
+A row is stored as it was built; cli._extend_cached says when the
+CLI builds it from a smaller cached row rather than afresh. Stored
+rows are not checked against the other engine; the checksum guards
+only the file. stored_rows lists, by file name, the rows of one shift
+that such an extension may start from.
 """
 
 from __future__ import annotations

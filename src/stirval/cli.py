@@ -127,22 +127,17 @@ def _extend_cached(n: int, shift: int, cache_dir: str) -> tuple[int, ...] | None
 
     Row (m, shift) holds the coefficients of (x+shift)_m, so
     (x+shift+m)...(x+shift+n-1) times it is row (n, shift); those are
-    recurrence steps. Only on the int backend below _CHAIN_BELOW_N, or
-    _CHAIN_BELOW_N_TWO_CORES where the tree runs in two processes, do
-    they beat a fresh product tree, whatever m is. Candidates load
-    largest first, each fully checked; cache_load warns about a corrupt
-    one, which is then passed over, not deleted.
+    recurrence steps (stirling_core._steps). Only on the int backend
+    below _CHAIN_BELOW_N do they beat a fresh product tree, whatever m
+    is. Candidates load largest first, each fully checked; cache_load
+    warns about a corrupt one, which is then passed over, not deleted.
     """
-    if stirling_mod._two_cores(n):
-        below = stirling_mod._CHAIN_BELOW_N_TWO_CORES
-    else:
-        below = stirling_mod._CHAIN_BELOW_N
-    if stirling_mod._mpz is not int or n >= below:
+    if stirling_mod._mpz is not int or n >= stirling_mod._CHAIN_BELOW_N:
         return None
     for m in sorted((m for m in stored_rows(shift, cache_dir) if m < n), reverse=True):
         lower = cache_load(m, shift, cache_dir)
         if lower is not None:
-            return tuple(stirling_mod._expand_chain(shift + m, shift + n, lower.coeffs))
+            return tuple(stirling_mod._steps(shift + m, shift + n, lower.coeffs))
     return None
 
 

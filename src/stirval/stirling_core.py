@@ -26,10 +26,11 @@ breaks.
 From _FORK_MIN_N factors up, where os.fork exists, two CPUs are usable
 and no other thread runs, each engine builds its row in two processes
 through _in_two_processes, which forks one worker joined by two pipes.
-The recurrence splits the columns: the parent steps the low ones and
-streams the column below the cut to the worker, which steps the rest
-with the same step. The tree builds its two halves in the two
-processes and splits the root product between them. Each engine is
+The recurrence, _steps, which also carries on the cached rows the CLI
+extends, splits the columns: the parent steps the low ones and streams
+the column below the cut to the worker, which steps the rest with the
+same step. The tree builds its two halves in the two processes and
+splits the root product between them. Each engine is
 still its own arithmetic, cut in two: the recurrence still never packs
 and shares only _times_linear with the tree, whose worker still joins
 leaves only by _poly_mul. The helper moves finished numbers and
@@ -100,18 +101,16 @@ _SCHOOLBOOK_LEN = 8
 # faster at 2**21, 11x at 2**25).
 _DECIMAL_BITS = 2 ** 18
 
-# Without gmpy2, the whole recurrence in one process builds rows below
-# these n about as fast as the product tree or faster, so multiplying a
-# cached row m < n up to row n by recurrence steps, a tail of that
-# recurrence, beats a fresh tree. _CHAIN_BELOW_N holds where the tree
-# runs in one process (medians of three to six runs on Python 3.11:
-# 2.0 against 2.7 s at n = 2048, 4.6 against 4.4 s at 2560, 5.6 against
-# 5.9 s at 2816; the tree wins at 4096), _CHAIN_BELOW_N_TWO_CORES where
-# it runs in two (medians of five on 2 cores: 0.92 against 0.87 s at
-# 1792, 1.47 against 1.18 s at 2048). With gmpy2 the tree is about ten
-# times faster and no row is built this way.
+# Without gmpy2, _steps(0, n), the whole recurrence, builds rows below
+# this n about as fast as the product tree, so extending a cached row
+# m < n by its tail of steps beats a fresh tree. Each runs in two
+# processes where the other does, so one crossover serves one CPU and
+# two. Medians of four alternating fresh-process builds, Python 3.11,
+# steps against tree: on 2 cores 2.7 against 3.0 s at n = 2560, 4.4
+# against 4.4 s at 3072, 6.6 against 5.8 s at 3584; on one 4.2 against
+# 4.0, 6.2 against 5.7, 10.4 against 9.2 s. With gmpy2 the tree is
+# about ten times faster and no row is built this way.
 _CHAIN_BELOW_N = 3072
-_CHAIN_BELOW_N_TWO_CORES = 1792
 
 # Exact builds from this many linear factors up run in two processes
 # where _two_cores allows. Two-process
@@ -289,46 +288,49 @@ def _in_two_processes(
     return result
 
 
-def _recurrence_in_two_processes(n: int) -> list[int]:
-    # Columns [0, cut) step here and stream column cut - 1, the carry
-    # into column cut, to the worker, which steps columns [cut, n] as
-    # the tail of [carry, *high]. Column cut - 1 first exists in row
-    # cut - 1, so the worker takes steps cut - 1 .. n - 1.
+def _steps(lo: int, hi: int, start: Sequence[int] = (1,)) -> list[int]:
+    """start * (x + lo)...(x + hi - 1): row (n, lo - m) if start is row (m, lo - m).
+
+    By _expand_chain unless _two_cores(n); then columns [0, cut) step
+    here and stream column cut - 1, the carry into column cut, to the
+    worker, which steps the tail of [carry, *start[cut:]] from the
+    first step at which that column exists. Errors name that row.
+    """
+    n = len(start) - 1 + hi - lo
+    if hi <= lo or not _two_cores(n):
+        return _expand_chain(lo, hi, start)
     cut = max(1, int(n * _RECURRENCE_CUT))
+    first = lo + max(0, cut - len(start))
 
     def low(channel: _Channel) -> list[int]:
-        row, batch = [1], []
-        for i in range(n):
-            if i >= cut - 1:
+        row, batch = list(start[:cut]), []
+        for c in range(lo, hi):
+            if c >= first:
                 batch.append(row[cut - 1])
                 if len(batch) == _CARRY_BATCH:
                     channel.send(batch)
                     batch = []
-            row = _times_linear(row, i)[:cut]
+            row = _times_linear(row, c)[:cut]
         if batch:
             channel.send(batch)
         return row + channel.recv()
 
     def high(channel: _Channel) -> None:
-        row, c = [], cut - 1
-        while c < n:
+        row, c = start[cut:], first
+        while c < hi:
             for carry in channel.recv():
                 row = _times_linear([carry, *row], c)[1:]
                 c += 1
         channel.send(row)
 
-    return _in_two_processes(f"row {n}", high, low)
+    shift = lo - len(start) + 1
+    return _in_two_processes(f"shifted row ({shift}, {n})" if shift else f"row {n}", high, low)
 
 
 def row_recurrence(n: int) -> StirlingRow:
     """Build s(n,0..n) bottom-up from the two-term recurrence."""
     _check_row_args(n)
-    if _two_cores(n):
-        return StirlingRow(n, tuple(_recurrence_in_two_processes(n)), "recurrence")
-    row = [1]
-    for i in range(n):
-        row = _times_linear(row, i)
-    return StirlingRow(n, tuple(row), "recurrence")
+    return StirlingRow(n, tuple(_steps(0, n)), "recurrence")
 
 
 def _digits_to_int(digits: str, pow10: dict[int, int]) -> int:

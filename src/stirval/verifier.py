@@ -617,7 +617,8 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int = 1) -> CheckRepor
     The identities sweep does not depend on a single n, so it runs once
     with both axes set to n_max. Per-n checks are skipped for n below
     their smallest valid argument, and read their truncated rows from
-    one build for n_max, made by the first check that needs it.
+    one build for n_max, made by the first check that needs it. A
+    selection that would run no check raises DomainError.
 
     Verification runs in one process, in this call: every check reads
     the same build, so a worker pool would only repeat it. jobs is kept
@@ -635,6 +636,12 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int = 1) -> CheckRepor
         unknown = [c for c in selected if c not in SUITE_IDS]
         if unknown:
             raise DomainError(f"unknown check ids: {', '.join(map(str, unknown))}")
+        if not selected:
+            raise DomainError("no check ids given")
+    suite = "all" if checks == "all" else "+".join(selected)
+    first = min(1 if c == "identities" else _PER_N_CHECKS[c][0] for c in selected)
+    if first > n_max:
+        raise DomainError(f"suite {suite} starts at n = {first}, so [{n_min}, {n_max}] runs no check")
     started = time.perf_counter()
     reports: list[CheckReport] = []
     for check in selected:
@@ -652,6 +659,5 @@ def run_suite(n_min: int, n_max: int, checks="all", jobs: int = 1) -> CheckRepor
     failures.sort(key=lambda r: (r.check_id, r.instance))
     del failures[FAILURE_CAP:]
     failed = sum(r.failures_total for r in reports)
-    suite = "all" if checks == "all" else "+".join(selected)
     return CheckReport(suite, (n_min, n_max), total, failed, failures, time.perf_counter() - started)
 

@@ -248,6 +248,12 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("PASS suite=theorem1")
 
+    @pytest.mark.parametrize("suite", ["lemma24", "lemma25", "inequalities"])
+    def test_range_below_the_suite_exits_2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-min", "1", "--n-max", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: suite {suite} starts at n = 2, so [1, 1] runs no check\n"
+
     def test_json_report_schema(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "verify", "--suite", "theorem2", "--n-min", "1", "--n-max", "3")
         assert code == 0
@@ -642,10 +648,8 @@ class TestMissFromLowerRow:
         (
             {"_CHAIN_BELOW_N": 30},
             {"_mpz": type("mpz", (int,), {})},
-            # the tree runs in two processes, which moves the crossover
-            {"_CHAIN_BELOW_N_TWO_CORES": 30, "_two_cores": lambda n: True},
         ),
-        ids=("at-crossover", "not-int-backend", "at-two-process-crossover"),
+        ids=("at-crossover", "not-int-backend"),
     )
     def test_product_tree_where_the_chain_loses(self, capsys, tmp_path, monkeypatch, patches):
         run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
@@ -658,6 +662,50 @@ class TestMissFromLowerRow:
         code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(tmp_path))
         assert code == 0 and int(out) == stirling_mod.row_recurrence(30).coeffs[7]
         assert built == [30] and loads == [(30, 0)]
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # Every build takes the two-process path; returns the forks made.
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return forks
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process path needs os.fork")
+    def test_two_process_extension_builds_no_tree(self, capsys, tmp_path, monkeypatch, two_cpus):
+        # Where the tree would run in two processes, the extension does
+        # too, so the one crossover _CHAIN_BELOW_N still picks the chain.
+        run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
+        two_cpus.clear()
+        _forbid_trees(monkeypatch)
+        loads = _spy_loads(monkeypatch)
+        code, out, _ = run(capsys, "value", "--n", "30", "--k", "7", "--cache-dir", str(tmp_path))
+        assert code == 0 and int(out) == stirling_mod._expand_chain(0, 30)[7]
+        assert loads == [(30, 0), (20, 0)] and two_cpus == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process path needs os.fork")
+    def test_worker_fault_in_extension_exits_1(self, capsys, tmp_path, monkeypatch, two_cpus):
+        run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))
+        parent = os.getpid()
+        step = stirling_mod._times_linear
+
+        def faulty(coeffs, c):
+            if os.getpid() != parent:
+                raise RuntimeError("planted in the worker")
+            return step(coeffs, c)
+
+        monkeypatch.setattr(stirling_mod, "_times_linear", faulty)
+        two_cpus.clear()
+        code, out, err = run(capsys, "value", "--n", "40", "--k", "7", "--cache-dir", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("internal consistency failure: row 40: ")
+        assert two_cpus == [1] and not (tmp_path / "row_s0_n40.stirval").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_max_n_refuses_before_any_lower_row_is_read(self, capsys, tmp_path, monkeypatch):
         run(capsys, "row", "--n", "20", "--cache-dir", str(tmp_path))

@@ -466,6 +466,7 @@ class TestTwoProcesses:
     def test_rows_equal_serial_rows(self, monkeypatch, forks, deadline):
         # Through n = 8 the cut is 1 and the root split h = 1, their
         # smallest values; n = 20 sends exactly one full carry batch.
+        # Row 0 takes no recurrence step, so it never forks.
         sizes = list(range(41)) + [100, 257, 600]
         serial = {n: {name: build() for name, build in _builders(n).items()} for n in sizes}
         monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 0)
@@ -474,8 +475,26 @@ class TestTwoProcesses:
             for name, build in _builders(n).items():
                 assert build() == serial[n][name], (name, n)
             _no_child_left()
-        assert len(forks) == 3 * len(sizes)
+        assert len(forks) == 3 * len(sizes) - 1
         assert shifted_row_expand(2**40, 12).coeffs == tuple(stirling_mod._expand_chain(2**40, 2**40 + 12))
+
+    @pytest.mark.parametrize("shift", [0, 7])
+    def test_steps_equal_the_serial_chain(self, monkeypatch, forks, deadline, shift):
+        # Row 40 is cut at column 11, so start rows of 1, 11 and 31
+        # columns are shorter than, as long as and longer than the cut.
+        monkeypatch.setattr(stirling_mod, "_FORK_MIN_N", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert int(40 * stirling_mod._RECURRENCE_CUT) == 11
+        for m in (0, 10, 30):
+            start = tuple(stirling_mod._expand_chain(shift, shift + m))
+            serial = stirling_mod._expand_chain(shift + m, shift + 40, start)
+            assert stirling_mod._steps(shift + m, shift + 40, start) == serial, m
+            _no_child_left()
+        assert len(forks) == 3
+        # No step at all returns the start row and never forks.
+        row = tuple(stirling_mod._expand_chain(shift, shift + 40))
+        assert stirling_mod._steps(shift + 40, shift + 40, row) == list(row)
+        assert len(forks) == 3
 
     @pytest.mark.parametrize("engine", ["recurrence", "product_tree", "shifted"])
     @pytest.mark.parametrize("fault", ["raise", "exit", "exit_after_send"])

@@ -747,6 +747,21 @@ class TestRunSuite:
         r2 = run_suite(2, 2, ["lemma25"])
         assert r1.total == r2.total
 
+    @pytest.mark.parametrize("checks", ["lemma24", "lemma25", "inequalities", ["lemma24", "inequalities"]])
+    def test_selection_that_runs_no_check_is_refused(self, checks):
+        with pytest.raises(DomainError, match=r"starts at n = 2, so \[1, 1\] runs no check$"):
+            run_suite(1, 1, checks)
+
+    def test_empty_selection_is_refused(self):
+        with pytest.raises(DomainError, match="^no check ids given$"):
+            run_suite(2, 3, [])
+
+    def test_all_at_n_1_runs_what_starts_there(self):
+        # theorem1, theorem2 and identities start at n = 1.
+        r = run_suite(1, 1, "all")
+        parts = [run_suite(1, 1, check).total for check in ("theorem1", "theorem2", "identities")]
+        assert r.total == sum(parts) and all(parts) and r.failures_total == 0
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(DomainError):
             run_suite(2, 3, ["nonsense"])
