@@ -43,7 +43,8 @@ rows are handled as flat lists and multiplied via Kronecker
 substitution (pack the coefficients of a polynomial into one giant
 integer, multiply once, slice the product back apart).
 
-Three masked routes keep column k only modulo a power of two:
+Three masked routes keep column k only modulo 2**b_k, and every
+precision enters and leaves them as the bit counts b_k, never as masks:
 _chain_masked (recurrence steps carried on from a start row, with its
 own step: columns wider than _PACK_SLOT_BITS one int each, the rest
 packed into bands of slots that one shift, one multiply and one AND
@@ -467,15 +468,15 @@ _PACK_SLOT_BITS = 2 ** 10
 _BAND_RATIO = 1.5
 
 
-def _masked(coeffs: Sequence[int], masks: Sequence[int]) -> list[int]:
-    """Column k of coeffs reduced modulo masks[k] + 1 (a power of two).
+def _masked(coeffs: Sequence[int], bits: Sequence[int]) -> list[int]:
+    """Column k of coeffs reduced modulo 2**bits[k].
 
     Reduction mod 2**b is a ring homomorphism, and column k of a
-    product reads only columns <= k of its factors. So when the masks
-    never grow with k, reducing after every product leaves each kept
-    residue exactly what reducing the exact product would give.
+    product reads only columns <= k of its factors. So when the bit
+    counts never grow with k, reducing after every product leaves each
+    kept residue exactly what reducing the exact product would give.
     """
-    return [c & m for c, m in zip(coeffs, masks)]
+    return [c & m for c, m in zip(coeffs, _masks(bits))]
 
 
 def _masks(bits: Sequence[int]) -> list[int]:
@@ -530,14 +531,14 @@ def _pack(values: Sequence[int], width: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(nbytes, "little") for v in values), "little")
 
 
-def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] = (1,)) -> list[int]:
-    """start * prod_{c in [lo, hi)} (x + c) by recurrence steps, reduced by masks.
+def _chain_masked(lo: int, hi: int, bits: Sequence[int], start: Sequence[int] = (1,)) -> list[int]:
+    """start * prod_{c in [lo, hi)} (x + c) by recurrence steps, column k mod 2**bits[k].
 
     A start row carries a chain on from where an earlier call left it.
-    The result has one column per mask at most, each reduced, so it
-    equals _masked(_expand_chain(lo, hi, start), masks) whenever
-    hi > lo. Masks must be 2**b_k - 1 with b_k never growing with k;
-    other masks raise DomainError, as does a factor x + c with c < 0.
+    The result has one column per bit count at most, each reduced, so
+    it equals _masked(_expand_chain(lo, hi, start), bits) whenever
+    hi > lo. Bit counts that grow with k raise DomainError, as does a
+    factor x + c with c < 0.
 
     The row is held at its final length, zero-padded. _band_layout keeps
     its leading columns whose slots would be wider than _PACK_SLOT_BITS
@@ -552,7 +553,7 @@ def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] =
         columns and the column before it plus bits(hi - 1) + 1, so the
         sum is below 2**W and no slot carries into the next.
       - The AND is the column-wise reduction mod 2**b_k. Reducing after
-        every step is exact only because the masks never grow with k
+        every step is exact only because the b_k never grow with k
         (see _masked); with growing ones a column would read its
         neighbour at fewer bits than it keeps, hence the refusal.
       - The slot shifted out of a band's top is the band's last column
@@ -566,12 +567,12 @@ def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] =
         return list(start)
     if lo < 0:
         raise DomainError(f"masked chain needs factors x + c with c >= 0, got lo={lo}")
-    size = min(len(start) + hi - lo, len(masks))
-    masks = masks[:size]
-    bits = [m.bit_length() for m in masks]
-    if any(m < 0 or m & (m + 1) for m in masks) or any(b < after for b, after in zip(bits, bits[1:])):
-        raise DomainError("masked chain needs masks 2**b - 1 whose b never grows with the column")
-    row = _masked(start, masks)
+    size = min(len(start) + hi - lo, len(bits))
+    bits = bits[:size]
+    if any(b < after for b, after in zip(bits, bits[1:])):
+        raise DomainError("masked chain needs a bit count that never grows with the column")
+    masks = _masks(bits)
+    row = [c & m for c, m in zip(start, masks)]
     row += [0] * (size - len(row))
     head_len, layout = _band_layout(bits, (hi - 1).bit_length())
     head = row[:head_len]
@@ -588,7 +589,7 @@ def _chain_masked(lo: int, hi: int, masks: Sequence[int], start: Sequence[int] =
                 carry = head[-1] & last
                 head = [c * head[0]] + [c * v + u for u, v in zip(head, head[1:])]
             packed = _band_step(packed, c, carry, bands)
-        head = _masked(head, masks)
+        head = [c & m for c, m in zip(head, masks)]
     for p, (first, stop, width) in zip(packed, layout):
         nbytes = width // 8
         raw = p.to_bytes((stop - first) * nbytes, "little")
@@ -680,19 +681,19 @@ def _double_masked(coeffs: Sequence[int], bits: Sequence[int], targets: Sequence
       - Q_l's error is a multiple of 2**p and v2(P_i) >= w_i + N - i,
         so with p >= win_i - (N - i) - w_i, P_i times that error is a
         multiple of 2**win_i too.
-    A p short of what these residues need raises ConsistencyError, and
-    bits too few for win or p raise DomainError. The product is one
-    _poly_mul, whose slots hold about max win + p bits.
+    A p short of what these residues need, or bits too few for win or
+    p, is a fault in the plan and raises ConsistencyError. The product
+    is one _poly_mul, whose slots hold about max win + p bits.
     """
     n = len(coeffs) - 1
     win, need = _doubling_need(coeffs, bits, targets)
     if need > p:
         raise ConsistencyError(f"doubling to row {2 * n} needs {need} bits of P(x + 1), planned {p}")
     if any(b + n - i < max(x, p) for i, (b, x) in enumerate(zip(bits, win))):
-        raise DomainError(f"row {n} is known to too few bits to double to row {2 * n}")
+        raise ConsistencyError(f"row {n} is known to too few bits to double to row {2 * n}")
     big = [c << (n - i) for i, c in enumerate(coeffs)]
     q = _at_x_plus_one([c & ((1 << p) - 1) for c in big], p)
-    return _masked(_poly_mul(_masked(big, _masks(win)), q), _masks(targets))
+    return _masked(_poly_mul(_masked(big, win), q), targets)
 
 
 def _taylor_shift_masked(

@@ -98,11 +98,14 @@ truth is truncated: column k of row N = 2**n is kept only modulo
       are row N's. The row must also meet s_N(N, 0) = (2N-1)!/(N-1)!
       and s_N(N, N) = 1 mod 2**B'_k.
   Lifted row. Row N + 1 is row N times (x + N), computed by two paths
-      (_truncated_lifted). Column k + 1 is N * r[k+1] + r[k], known
-      modulo 2**min(B_k, B_{k+1} + n). It must meet s(N+1, 0) = 0,
-      s(N+1, 1) = N! and s(N+1, N+1) = 1 there; a wrong factor both
-      paths share, x + N + 1, moves column 1 by (N-1)!, whose v2 of
-      N - 1 - n is below that column's B.
+      (_truncated_lifted) that must agree exactly. Column k + 1 is
+      N * r[k+1] + r[k], known modulo 2**min(B_k, B_{k+1} + n). It
+      must meet s(N+1, 0) = 0, s(N+1, 1) = N! and s(N+1, N+1) = 1
+      there; a wrong factor both paths share, x + N + 1, moves column 1
+      by (N-1)!, whose v2 of N - 1 - n is below that column's B.
+  One gate. Rows 2**j and shifted rows once their routes agree
+      (_agreed), and lifted rows, all pass _truncated, which reduces
+      the row to its bits and checks the invariants above.
   Reading a residue (_v2_mod). A nonzero residue mod 2**b gives the
       exact valuation. A zero residue proves only v2 >= b: it fails
       every equality and every upper bound, and passes a lower bound
@@ -141,7 +144,6 @@ from .stirling_core import (
     _doubling_plan,
     _expand_chain,
     _masked,
-    _masks,
     _poly_mul,
     _taylor_shift_masked,
     _times_linear,
@@ -162,10 +164,10 @@ FAILURE_CAP = 100
 GROUND_TRUTH_ENGINE = "exact:recurrence+product_tree;mod2^B:chain+doubling;shifted:chain+taylor_shift"
 SUITE_IDS = ("theorem1", "theorem2", "lemma24", "lemma25", "identities", "inequalities")
 
-# Smallest n of each per-n check, and the check_<suite> that runs it.
-# run_suite skips n below the first and looks the second up in this
-# module's globals at call time, so a wrapper set on the module (as a
-# tracer does) sees every call.
+# Smallest n of each per-n check (the check refuses less, run_suite
+# skips it) and the check_<suite> that runs it, which run_suite looks
+# up in this module's globals at call time, so a wrapper set on the
+# module (as a tracer does) sees every call.
 _PER_N_CHECKS = {
     "theorem1": (1, "check_theorem1"),
     "theorem2": (1, "check_theorem2"),
@@ -175,6 +177,12 @@ _PER_N_CHECKS = {
 }
 
 _IDENTITY_SWEEP_CAP = 64
+
+
+def _check_n(suite: str, n: int) -> None:
+    first = _PER_N_CHECKS[suite][0]
+    if n < first:
+        raise DomainError(f"need n >= {first}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -320,23 +328,22 @@ def _precisions(n: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def _require(name: str, coeffs: list[int], masks: list[int], known: dict[int, int]) -> None:
-    # Invariants that neither masked route computes, checked mod 2**B_k.
+def _truncated(name: str, row: Sequence[int], bits: Sequence[int], known: dict[int, int]) -> _Truncated:
+    """row modulo 2**bits, once column k meets known[k] for each k in known (see One gate)."""
+    row = _masked(row, bits)
     for k, value in known.items():
-        if coeffs[k] != value & masks[k]:
+        if row[k] != value % (1 << bits[k]):
             raise ConsistencyError(f"truncated {name} fails its invariant at column {k}")
+    return _Truncated(tuple(row), tuple(bits[: len(row)]))
 
 
 def _agreed(
     name: str, route: list[int], other: list[int], bits: Sequence[int], known: dict[int, int]
 ) -> _Truncated:
     """The row both routes give modulo 2**bits, once they agree and meet the invariants."""
-    masks = _masks(bits)
-    row = _masked(route, masks)
-    if row != _masked(other, masks):
+    if _masked(route, bits) != _masked(other, bits):
         raise ConsistencyError(f"truncated routes disagree on {name}")
-    _require(name, row, masks, known)
-    return _Truncated(tuple(row), tuple(bits[: len(row)]))
+    return _truncated(name, route, bits, known)
 
 
 @_capped_cache(32, lambda top: _check_row_args(2 ** top))
@@ -353,10 +360,9 @@ def _truncated_rows(top: int) -> tuple[_Truncated | None, ...]:
     """
     bits = [(0, 0), *(_precisions(j) for j in range(1, top + 1))]
     joint = [max(col) for col in zip_longest(*bits, fillvalue=0)]
-    masks = _masks(joint)
-    chain = [_chain_masked(0, 1, masks)]
+    chain = [_chain_masked(0, 1, joint)]
     for j in range(top):
-        chain.append(_chain_masked(2**j, 2 ** (j + 1), masks, chain[j]))
+        chain.append(_chain_masked(2**j, 2 ** (j + 1), joint, chain[j]))
     plan = _doubling_plan(chain, joint, bits)
     row: list[int] = [0, 1]
     plain: list[_Truncated | None] = [None]
@@ -367,18 +373,13 @@ def _truncated_rows(top: int) -> tuple[_Truncated | None, ...]:
     return tuple(plain)
 
 
-def _run_top(n: int, top: int | None) -> int:
-    # The build a check reads: its run's largest n, or n itself.
-    if top is None:
-        return n
-    if top < n:
-        raise DomainError(f"need top >= n, got top={top}, n={n}")
-    return top
-
-
 def _truncated_plain(n: int, top: int | None = None) -> _Truncated:
-    """Row 2**n modulo 2**B_k, read from the build for top (n by default)."""
-    return _truncated_rows(_run_top(n, top))[n]
+    """Row 2**n modulo 2**B_k, read from the build for top, the run's largest n (n by default)."""
+    if top is None:
+        top = n
+    elif top < n:
+        raise DomainError(f"need top >= n, got top={top}, n={n}")
+    return _truncated_rows(top)[n]
 
 
 def _truncated_shifted(n: int, top: int | None = None) -> _Truncated:
@@ -395,7 +396,7 @@ def _truncated_shifted(n: int, top: int | None = None) -> _Truncated:
     size = 2 ** n
     plain = _truncated_plain(n, top)
     taylor, bits = _taylor_shift_masked(plain.coeffs, plain.bits, n)
-    route = _chain_masked(size, 2 * size, _masks(plain.bits))
+    route = _chain_masked(size, 2 * size, plain.bits)
     known = {0: math.perm(2 * size - 1, size), size: 1}
     return _agreed(f"shifted row ({size}, {size})", route, taylor, bits, known)
 
@@ -420,10 +421,7 @@ def _truncated_lifted(n: int, top: int | None = None) -> _Truncated:
         raise ConsistencyError(f"lift paths disagree on row {size + 1}")
     b = base.bits
     bits = (b[0] + n, *(min(lo, hi + n) for lo, hi in zip(b, b[1:])), b[-1])
-    masks = _masks(bits)
-    lifted = _masked(step, masks)
-    _require(f"row {size + 1}", lifted, masks, {0: 0, 1: math.factorial(size), size + 1: 1})
-    return _Truncated(tuple(lifted), bits)
+    return _truncated(f"row {size + 1}", step, bits, {0: 0, 1: math.factorial(size), size + 1: 1})
 
 
 def check_theorem1(n: int, *, top: int | None = None) -> CheckReport:
@@ -432,8 +430,7 @@ def check_theorem1(n: int, *, top: int | None = None) -> CheckReport:
     top, here and in the other per-n checks, is the largest n of the
     run (n by default): the rows are read from the one build for top.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _check_n("theorem1", n)
     started = time.perf_counter()
     col = _Collector()
     row = _truncated_plain(n, top)
@@ -450,8 +447,7 @@ def check_theorem2(n: int, *, top: int | None = None) -> CheckReport:
     Row 2**n is the truncated row of both masked routes; row 2**n + 1
     is lifted from it by the two checked paths of _truncated_lifted.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    _check_n("theorem2", n)
     started = time.perf_counter()
     col = _Collector()
     lifted = _truncated_lifted(n, top)
@@ -468,12 +464,11 @@ def check_lemma24(n: int, *, top: int | None = None) -> CheckReport:
 
     Two conditions per column t: equal valuations, and the difference
     of the two numbers gains at least two extra factors of 2. The
-    difference is known modulo 2**min(B_t, B'_t), the precisions of
-    the two rows, so a zero residue proves only v2 >= that, which
-    meets the bound whenever the predictions hold.
+    difference is known modulo 2**B'_t, the shifted row's precision
+    (B' <= B), so a zero residue proves only v2 >= B'_t, which meets
+    the bound whenever the predictions hold.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_n("lemma24", n)
     started = time.perf_counter()
     col = _Collector()
     plain = _truncated_plain(n, top)
@@ -482,7 +477,7 @@ def check_lemma24(n: int, *, top: int | None = None) -> CheckReport:
         v_plain = plain.v2(t)
         v_shift = shifted.v2(t)
         col.add("lemma24", (n, t, "eq"), _shown(v_plain), _shown(v_shift), _same(v_plain, v_shift))
-        v_diff = _v2_mod(shifted.coeffs[t] - plain.coeffs[t], min(plain.bits[t], shifted.bits[t]))
+        v_diff = _v2_mod(shifted.coeffs[t] - plain.coeffs[t], shifted.bits[t])
         bound = (v_plain[0] + 2, v_plain[1])
         col.add(
             "lemma24",
@@ -496,8 +491,7 @@ def check_lemma24(n: int, *, top: int | None = None) -> CheckReport:
 
 def check_lemma25(n: int, *, top: int | None = None) -> CheckReport:
     """Check v2(s(2**n, 2i-1)) = v2(s(2**n, 2i)) + n - 1 for all pairs."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_n("lemma25", n)
     started = time.perf_counter()
     col = _Collector()
     row = _truncated_plain(n, top)
@@ -568,8 +562,7 @@ def check_inequalities(n: int, *, top: int | None = None) -> CheckReport:
     passes on a proven v2 >= B; every bound drawn from an unresolved
     column, and every upper bound on one, fails.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_n("inequalities", n)
     started = time.perf_counter()
     col = _Collector()
     size = 2 ** n

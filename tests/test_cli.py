@@ -317,9 +317,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             verifier_mod,
             "_double_masked",
-            lambda coeffs, bits, targets, p: stirling_mod._masked(
-                stirling_mod._expand_chain(1, len(targets)), stirling_mod._masks(targets)
-            ),
+            lambda coeffs, bits, targets, p: stirling_mod._masked(stirling_mod._expand_chain(1, len(targets)), targets),
         )
         truncated = (verifier_mod._truncated_rows, verifier_mod._truncated_lifted)
         for cache in truncated:
@@ -331,6 +329,26 @@ class TestVerifyCommand:
                 cache.cache_clear()
         assert code == 1 and out == ""
         assert err.startswith("internal consistency failure: truncated row 2 fails its invariant")
+
+    def test_doubling_precision_fault_is_an_internal_consistency_failure(self, capsys, monkeypatch):
+        # A plan that keeps row 8 one bit short at its top column: the
+        # doubling to row 16 refuses it, a fault in the program, not bad input
+        plan = verifier_mod._doubling_plan
+
+        def short_at_row_8(*args):
+            steps = plan(*args)
+            targets, p = steps[3]
+            steps[3] = ([*targets[:-1], targets[-1] - 1], p)
+            return steps
+
+        monkeypatch.setattr(verifier_mod, "_doubling_plan", short_at_row_8)
+        verifier_mod._truncated_rows.cache_clear()
+        try:
+            code, out, err = run(capsys, "verify", "--suite", "theorem1", "--n-min", "2", "--n-max", "5")
+        finally:
+            verifier_mod._truncated_rows.cache_clear()
+        assert code == 1 and out == ""
+        assert err.startswith("internal consistency failure: row 8 is known to too few bits to double to row 16")
 
     def test_same_report_under_optimize_flag(self):
         # `assert` vanishes under -O; a check that relies on it would

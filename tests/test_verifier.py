@@ -223,9 +223,7 @@ def _plant_next_factor_in_both_routes(monkeypatch):
     monkeypatch.setattr(
         verifier_mod,
         "_double_masked",
-        lambda coeffs, bits, targets, p: stirling_mod._masked(
-            stirling_mod._expand_chain(1, len(targets)), stirling_mod._masks(targets)
-        ),
+        lambda coeffs, bits, targets, p: stirling_mod._masked(stirling_mod._expand_chain(1, len(targets)), targets),
     )
 
 
@@ -722,6 +720,41 @@ class TestReadTimeFaults:
             for check in (check_theorem2, check_inequalities):
                 with pytest.raises(ConsistencyError, match=f"truncated row {2**n + 1} fails its invariant at column 1$"):
                     check(n)
+
+
+def _dropped_digit(real):
+    # Every conversion loses its last digit, each half of a split one too.
+    return lambda digits, pow10: real(digits[:-1], pow10)
+
+
+def _narrow_slot(real):
+    # Slots of one digit fewer than the product's largest coefficient
+    # has, sized from the exact product: slot_bits's own bound has
+    # slack, so a slot one digit under it can still hold every column.
+    def narrow(a, b, slot_bits):
+        digits = len(str(max(real(a, b, slot_bits))))
+        return real(a, b, -(-(digits - 2) * 100000 // 30103))
+
+    return narrow
+
+
+class TestDecimalMultiplyFaults:
+    # The libmpdec multiply of _poly_mul, forced on whatever the backend.
+    # Its first packs of _DECIMAL_BITS come at row 400 of the product
+    # tree and at the doubling to row 512; no pack at n <= 8 reaches it.
+
+    @pytest.mark.parametrize(
+        "target, plant",
+        [("_digits_to_int", _dropped_digit), ("_decimal_kronecker", _narrow_slot)],
+        ids=["dropped_digit", "narrow_slot"],
+    )
+    def test_fault_names_the_row(self, monkeypatch, fresh_caches, target, plant):
+        monkeypatch.setattr(stirling_mod, "_mpz", int)
+        monkeypatch.setattr(stirling_mod, target, plant(getattr(stirling_mod, target)))
+        with pytest.raises(ConsistencyError, match="^engines disagree on row 400$"):
+            verifier_mod._verified_plain_coeffs(400)
+        with pytest.raises(ConsistencyError, match="^truncated routes disagree on row 512$"):
+            check_theorem1(9)
 
 
 class TestRunSuite:
